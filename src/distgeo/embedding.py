@@ -18,10 +18,9 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
-    _psd_from_spectrum,
+    _factor_gram,
     double_center,
     edm_from_realization,
-    symmetric_eigendecomposition,
 )
 
 __all__ = [
@@ -92,9 +91,7 @@ def classify_edm(D: DistanceMatrix, tol: Tolerances | None = None) -> EdmClassif
     D is an EDM exactly when the double-centered Gram matrix is PSD; the
     minimal embedding dimension is that matrix's rank.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    dec = symmetric_eigendecomposition(double_center(D), tol)
-    verdict = _psd_from_spectrum(dec.eigenvalues, tol)
+    _, verdict, _ = _factor_gram(double_center(D), tol or DEFAULT_TOLERANCES)
     return EdmClassification(verdict.is_psd, verdict.rank, verdict.min_eigenvalue)
 
 
@@ -118,22 +115,18 @@ def classical_mds(
     """Embed a (possibly non-Euclidean) distance matrix by classical MDS.
 
     Double-center the squared distances, eigendecompose, and keep the
-    eigenvector columns of eigenvalues above ``rank_tol * max(1, lambda_max)``
-    scaled by the square roots of those eigenvalues.  ``dim_cap`` truncates
-    to the leading dimensions.  Approximate input is the intended use; the
-    returned spectrum includes any negative eigenvalues so callers can judge
-    how non-Euclidean the input was.
+    eigenvector columns of eigenvalues above ``rank_tol`` times the spectral
+    radius, scaled by the square roots of those eigenvalues.  ``dim_cap``
+    truncates to the leading dimensions.  Approximate input is the intended
+    use; the returned spectrum includes any negative eigenvalues so callers
+    can judge how non-Euclidean the input was.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    dec = symmetric_eigendecomposition(double_center(D), tol)
-    w = dec.eigenvalues
-    threshold = tol.rank_tol * max(1.0, float(w[0]))
-    h = int(np.sum(w > threshold))
+    w, _, coords = _factor_gram(double_center(D), tol or DEFAULT_TOLERANCES)
     if dim_cap is not None:
         if dim_cap < 0:
             raise ValueError("dim_cap must be nonnegative")
-        h = min(h, dim_cap)
-    coords = dec.eigenvectors[:, :h] * np.sqrt(np.clip(w[:h], 0.0, None))
+        coords = coords[:, :dim_cap]
+    h = coords.shape[1]
     realization = Realization(coords)
     realized = edm_from_realization(realization)
     residual = _max_relative_distance_error(realized.d, D.d)

@@ -1,9 +1,10 @@
 """Dense symmetric-matrix core.
 
-Distance and Gram matrix types, double centering, a self-contained cyclic
-Jacobi eigensolver, positive-semidefiniteness tests, and the conversions
-between Gram matrices and point realizations that underpin classical
-multidimensional scaling.
+Distance and Gram matrix types, double centering, the symmetric
+eigendecomposition (LAPACK ``eigh``), positive-semidefiniteness tests, and
+the conversions between Gram matrices and point realizations that underpin
+classical multidimensional scaling.  Every rank cut in the toolkit is taken
+here, relative to the spectral radius of the Gram matrix.
 
 All values are immutable after construction (backing arrays are read-only)
 and every operation is a pure function of its inputs.
@@ -11,7 +12,6 @@ and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     AsymmetricMatrixError,
     NegativeEntryError,
-    NoConvergenceError,
     NonSquareError,
     NonzeroDiagonalError,
     NotPSDInputError,
@@ -44,8 +43,6 @@ __all__ = [
     "center_realization",
 ]
 
-JACOBI_SWEEP_CAP = 100
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -62,18 +59,16 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 class Tolerances:
     """Numerical thresholds shared across the toolkit.
 
-    eig_tol : convergence threshold of the Jacobi eigensolver (off-diagonal
-        Frobenius mass relative to the matrix norm).
-    rank_tol : relative cutoff below which eigenvalues count as zero.
+    rank_tol : cutoff, relative to the spectral radius, below which
+        eigenvalues count as zero.
     dist_tol : relative threshold for distance comparisons.
     """
 
-    eig_tol: float = 1e-12
     rank_tol: float = 1e-9
     dist_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("eig_tol", "rank_tol", "dist_tol"):
+        for name in ("rank_tol", "dist_tol"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
@@ -281,103 +276,50 @@ def schoenberg_gram(D: DistanceMatrix) -> GramMatrix:
     return GramMatrix(g)
 
 
-def _jacobi(a: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations on a symmetric matrix (modified in place).
-
-    Returns (eigenvalues, eigenvector columns), unsorted.  Converges when the
-    off-diagonal Frobenius mass drops below ``eig_tol`` times the norm of the
-    input; raises NoConvergenceError after the sweep cap.
-    """
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    if n == 1:
-        return np.diag(a).copy(), v
-    polished = False
-    for _ in range(JACOBI_SWEEP_CAP):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= eig_tol * norm:
-            # One extra sweep once the criterion fires: quadratic convergence
-            # pushes the off-diagonal mass to the machine floor, which the
-            # reconstruction guarantee needs.
-            if polished or off == 0.0:
-                return np.diag(a).copy(), v
-            polished = True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                theta = diff / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-
-                app, aqq = a[p, p], a[q, q]
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = ap - s * (aq + tau * ap)
-                a[:, q] = aq + s * (ap - tau * aq)
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = vp - s * (vq + tau * vp)
-                v[:, q] = vq + s * (vp - tau * vq)
-    raise NoConvergenceError(
-        f"Jacobi eigensolver did not converge within {JACOBI_SWEEP_CAP} sweeps"
-    )
-
-
-def symmetric_eigendecomposition(
-    g: GramMatrix | np.ndarray, tol: Tolerances | None = None
-) -> SpectralDecomposition:
-    """Full spectral decomposition of a symmetric matrix by cyclic Jacobi rotations.
+def symmetric_eigendecomposition(g: GramMatrix | np.ndarray) -> SpectralDecomposition:
+    """Full spectral decomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Eigenvalues come back sorted in descending order with matching
-    eigenvector columns.  The reconstruction Y diag(lambda) Y^T matches the
-    input to ``tol.eig_tol`` relative accuracy.
+    eigenvector columns.
     """
-    tol = tol or DEFAULT_TOLERANCES
     a = np.array(g.g if isinstance(g, GramMatrix) else g, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(a.shape)
-    w, v = _jacobi(a, tol.eig_tol)
+    w, v = np.linalg.eigh(a)
     order = np.argsort(-w, kind="stable")
     return SpectralDecomposition(w[order], v[:, order])
 
 
-def _psd_from_spectrum(w: np.ndarray, tol: Tolerances) -> PsdVerdict:
-    threshold = tol.rank_tol * max(1.0, float(w[0]))
-    return PsdVerdict(
-        is_psd=bool(w[-1] >= -threshold),
-        rank=int(np.sum(w > threshold)),
-        min_eigenvalue=float(w[-1]),
+def _factor_gram(
+    g: GramMatrix | np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, PsdVerdict, np.ndarray]:
+    """Spectrum, PSD verdict and coordinate columns of a Gram matrix.
+
+    This is the toolkit's one rank cut.  Eigenvalues within ``rank_tol``
+    times the spectral radius count as zero, so verdicts do not depend on
+    the unit of measure.  The coordinate columns are the eigenvectors of
+    the eigenvalues above the cut, scaled by their square roots.
+    """
+    dec = symmetric_eigendecomposition(g)
+    w = dec.eigenvalues
+    threshold = tol.rank_tol * max(abs(float(w[0])), abs(float(w[-1])))
+    rank = int(np.sum(w > threshold))
+    verdict = PsdVerdict(
+        is_psd=bool(w[-1] >= -threshold), rank=rank, min_eigenvalue=float(w[-1])
     )
+    coords = dec.eigenvectors[:, :rank] * np.sqrt(w[:rank])
+    return w, verdict, coords
 
 
 def psd_verdict(g: GramMatrix | np.ndarray, tol: Tolerances | None = None) -> PsdVerdict:
     """Decide positive semidefiniteness and numerical rank.
 
     A matrix passes when its smallest eigenvalue is above
-    ``-rank_tol * max(1, lambda_max)``; the rank counts eigenvalues above
-    the same threshold.
+    ``-rank_tol * max(|lambda_max|, |lambda_min|)``; the rank counts
+    eigenvalues above the same threshold.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    dec = symmetric_eigendecomposition(g, tol)
-    return _psd_from_spectrum(dec.eigenvalues, tol)
+    _, verdict, _ = _factor_gram(g, tol or DEFAULT_TOLERANCES)
+    return verdict
 
 
 def realization_from_gram(g: GramMatrix, tol: Tolerances | None = None) -> Realization:
@@ -387,14 +329,9 @@ def realization_from_gram(g: GramMatrix, tol: Tolerances | None = None) -> Reali
     ambient dimension equals the numerical rank.  Raises NotPSDInputError
     when the matrix has a significantly negative eigenvalue.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    dec = symmetric_eigendecomposition(g, tol)
-    verdict = _psd_from_spectrum(dec.eigenvalues, tol)
+    _, verdict, coords = _factor_gram(g, tol or DEFAULT_TOLERANCES)
     if not verdict.is_psd:
         raise NotPSDInputError(verdict.min_eigenvalue)
-    k = verdict.rank
-    lam = np.clip(dec.eigenvalues[:k], 0.0, None)
-    coords = dec.eigenvectors[:, :k] * np.sqrt(lam)
     return Realization(coords)
 
 

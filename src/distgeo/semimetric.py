@@ -270,21 +270,19 @@ def verify_menger_criterion(
 
     points = range(n)
 
+    # The anchor is the first base subset realizing dimension exactly dim.
+    # When n < dim+1 the base subsets have rank below dim, so none exists.
     base_size = min(dim + 1, n)
     base_failures = []
     base_checked = 0
+    anchor = None
     for subset in combinations(points, base_size):
         base_checked += 1
-        if not _subset_embeddable(s.d.restrict(subset), dim, tol):
+        c = classify_edm(s.d.restrict(subset), tol)
+        if not (c.is_edm and c.dim <= dim):
             base_failures.append(subset)
-
-    anchor = None
-    if n >= dim + 1:
-        for subset in combinations(points, dim + 1):
-            c = classify_edm(s.d.restrict(subset), tol)
-            if c.is_edm and c.dim == dim:
-                anchor = subset
-                break
+        elif anchor is None and c.dim == dim:
+            anchor = subset
 
     def flat_failures(size: int, must_contain: tuple | None):
         checked = 0

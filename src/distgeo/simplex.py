@@ -133,17 +133,17 @@ def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     """Volume of the (m-1)-simplex with the given side lengths.
 
     Uses V_n^2 = (-1)^(n-1) / (2^n (n!)^2) * det with n = m-1.  A squared
-    volume inside -rank_tol (scaled by the largest squared distance to the
-    n-th power) clamps to zero; anything more negative raises
-    InfeasibleError carrying the squared volume.
+    volume inside -rank_tol times (largest distance)^(2n) clamps to zero, so
+    the test does not depend on measurement units, as in :func:`is_flat`;
+    anything more negative raises InfeasibleError carrying the squared
+    volume.
     """
     tol = tol or DEFAULT_TOLERANCES
     n = s.m - 1
     delta = cayley_menger_determinant(s)
     v2 = ((-1.0) ** (n - 1) / (2.0**n * math.factorial(n) ** 2)) * delta
     dmax = float(s.d.d.max())
-    scale = max(1.0, dmax ** (2 * n))
-    if v2 < -tol.rank_tol * scale:
+    if v2 < -tol.rank_tol * dmax ** (2 * n):
         raise InfeasibleError("side lengths are not realizable", v2)
     return math.sqrt(max(v2, 0.0))
 

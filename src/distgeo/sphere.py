@@ -28,9 +28,8 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
-    _psd_from_spectrum,
+    _factor_gram,
     double_center,
-    symmetric_eigendecomposition,
 )
 
 __all__ = [
@@ -151,17 +150,12 @@ def _realize_chords(
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"chord lengths must be nonnegative, got {value!r}")
         m[i, j] = m[j, i] = value
-    dec = symmetric_eigendecomposition(double_center(DistanceMatrix(m)), tol)
-    verdict = _psd_from_spectrum(dec.eigenvalues, tol)
-    if not verdict.is_psd:
+    _, verdict, columns = _factor_gram(double_center(DistanceMatrix(m)), tol)
+    if not verdict.is_psd or verdict.rank > 3:
         raise NotRealizableError(verdict.min_eigenvalue)
-    rank = verdict.rank
-    if rank > 3:
-        raise NotRealizableError(verdict.min_eigenvalue)
-    lam = np.clip(dec.eigenvalues[:rank], 0.0, None)
     coords = np.zeros((4, 3))
-    coords[:, :rank] = dec.eigenvectors[:, :rank] * np.sqrt(lam)
-    return Realization(coords), rank
+    coords[:, : verdict.rank] = columns
+    return Realization(coords), verdict.rank
 
 
 def tetrahedron_from_chords(c, tol: Tolerances | None = None) -> Realization:

@@ -1,7 +1,7 @@
-"""Matrix core: validation, centering, Jacobi eigensolver, Gram conversions.
+"""Matrix core: validation, centering, eigendecomposition, Gram conversions.
 
-Ground truth for eigenvalue checks is numpy.linalg.eigh; the library itself
-never calls it.
+Eigenvalue checks compare against numpy.linalg.eigvalsh on random matrices
+and against spectra known by hand.
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ import pytest
 from distgeo.errors import (
     AsymmetricMatrixError,
     NegativeEntryError,
-    NoConvergenceError,
     NonSquareError,
     NonzeroDiagonalError,
     NotPSDInputError,
@@ -40,7 +39,6 @@ def random_edm(rng, n, k):
 class TestTolerances:
     def test_defaults(self):
         tol = Tolerances()
-        assert tol.eig_tol == 1e-12
         assert tol.rank_tol == 1e-9
         assert tol.dist_tol == 1e-8
 
@@ -207,13 +205,6 @@ class TestEigendecomposition:
         dec = symmetric_eigendecomposition(a)
         again = np.sort(np.linalg.eigvalsh(dec.reconstruct()))[::-1]
         np.testing.assert_allclose(dec.eigenvalues, again, atol=1e-12)
-
-    def test_convergence_cap_raises(self, monkeypatch):
-        import distgeo.matrices as mat
-
-        monkeypatch.setattr(mat, "JACOBI_SWEEP_CAP", 0)
-        with pytest.raises(NoConvergenceError):
-            symmetric_eigendecomposition(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
 class TestPsdVerdict:

@@ -1,0 +1,81 @@
+"""Verdicts do not depend on the unit of measure.
+
+Inputs are built from small integers so that every eigenvalue and bordered
+determinant is either exactly zero or far from its threshold; rescaling by
+10^u with u in [-6, 6] must then leave every verdict unchanged and scale
+every length.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from distgeo.embedding import classify_edm
+from distgeo.matrices import DistanceMatrix, Realization, edm_from_realization
+from distgeo.semimetric import (
+    FiniteSemiMetricSpace,
+    congruently_embeddable,
+    verify_menger_criterion,
+)
+from distgeo.sphere import GeodesicTetrahedron, embed_on_sphere
+
+REGULAR_GEODESIC = 2 * math.asin(math.sqrt(2 / 3))
+
+# 10^u for u in [-6, 6] in steps of 0.1: integer draws spread evenly over
+# the decades, where float draws cluster on a few values.
+scales = st.integers(-60, 60).map(lambda t: 10.0 ** (t / 10))
+
+
+@st.composite
+def point_edms(draw, coord=3, distinct=False):
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-coord, coord)] * k)
+    pts = draw(st.lists(point, min_size=n, max_size=n, unique=distinct))
+    return edm_from_realization(Realization(np.array(pts, dtype=float))).d
+
+
+@st.composite
+def integer_matrices(draw):
+    n = draw(st.integers(2, 7))
+    pairs = n * (n - 1) // 2
+    upper = draw(st.lists(st.integers(1, 5), min_size=pairs, max_size=pairs))
+    m = np.zeros((n, n))
+    m[np.triu_indices(n, 1)] = upper
+    return m + m.T
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(point_edms(), integer_matrices()), scales)
+def test_classify_edm_is_unit_invariant(d, k):
+    base = classify_edm(DistanceMatrix(d))
+    scaled = classify_edm(DistanceMatrix(k * d))
+    assert (scaled.is_edm, scaled.dim) == (base.is_edm, base.dim)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.one_of(point_edms(coord=2, distinct=True), integer_matrices()),
+    scales,
+    st.integers(0, 3),
+)
+def test_psd_and_menger_routes_agree_on_rescaled_spaces(d, k, dim):
+    n = d.shape[0]
+    space = FiniteSemiMetricSpace(tuple(range(n)), DistanceMatrix(k * d))
+    psd = congruently_embeddable(space, dim)
+    menger = verify_menger_criterion(space, dim)
+    assert psd.embeddable == menger.embeddable
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.lists(st.floats(-0.2, 0.2), min_size=6, max_size=6),
+    scales,
+)
+def test_sphere_radius_scales_with_the_geodesics(jitter, k):
+    a = REGULAR_GEODESIC * (1.0 + np.array(jitter))
+    base = embed_on_sphere(GeodesicTetrahedron(a))
+    scaled = embed_on_sphere(GeodesicTetrahedron(k * a))
+    assert math.isclose(scaled.radius, k * base.radius, rel_tol=1e-9)

@@ -160,9 +160,12 @@ class TestSimplexVolume:
         s = SimplexSides(DistanceMatrix([[0, 2.5], [2.5, 0]]))
         assert simplex_volume(s) == pytest.approx(2.5, abs=1e-12)
 
-    def test_infeasible_sides(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+    def test_infeasible_sides(self, scale):
         with pytest.raises(InfeasibleError) as err:
-            simplex_volume(SimplexSides.from_triangle(TriangleSides(1, 1, 3)))
+            simplex_volume(
+                SimplexSides.from_triangle(TriangleSides(scale, scale, 3 * scale))
+            )
         assert err.value.value < 0
 
     def test_heron_consistency_on_random_triangles(self):
