@@ -26,8 +26,8 @@ def main():
     t = TriangleSides(3, 4, 5)
     print(f"triangle (3,4,5): area={heron_area(t)}, inradius={inradius(t)}")
     s = SimplexSides.from_triangle(t)
-    print(f"bordered determinant={cayley_menger_determinant(s)}  (equals -16 * 36)")
-    print(f"volume route gives the same area: {simplex_volume(s)}")
+    print(f"bordered determinant={cayley_menger_determinant(s):.12g}  (equals -16 * 36)")
+    print(f"volume route gives the same area: {simplex_volume(s):.12g}")
 
     tetra = SimplexSides(DistanceMatrix(np.ones((4, 4)) - np.eye(4)))
     print(f"\nregular tetrahedron side 1: volume={simplex_volume(tetra):.12f}")

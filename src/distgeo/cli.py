@@ -3,8 +3,9 @@
 Plain-text files in, deterministic single-line verdicts out.  Exit codes:
 0 for a positive verdict, 1 for a negative verdict (not an EDM, not
 embeddable, infeasible sides, no solution, sphere construction not
-applicable, Euler check failed), 2 for parse or validation errors, which
-go to standard error with line numbers.
+applicable, Euler check failed), 2 for parse or validation errors and any
+other library error a command does not turn into a verdict; these go to
+standard error, with line numbers where they come from a file.
 
 Matrix files hold one whitespace-separated row per line; lines starting
 with '#' are comments.  Coordinate files hold one point per row.  Numeric
@@ -21,8 +22,8 @@ import numpy as np
 from .embedding import TrilaterationProblem, classical_mds, classify_edm, trilaterate
 from .errors import (
     DependentAnchorsError,
+    DistanceGeometryError,
     InfeasibleError,
-    MatrixValidationError,
     NoConvergenceError,
     NoSolutionError,
     NotApplicableError,
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliInputError, MatrixValidationError, ValueError) as err:
+    except (CliInputError, DistanceGeometryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

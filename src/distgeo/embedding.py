@@ -138,7 +138,8 @@ def trilaterate(p: TrilaterationProblem, tol: Tolerances | None = None) -> Reali
 
     Subtracting the first sphere equation from the others linearizes the
     system; least squares solves it, and the candidate is accepted only if
-    it reproduces every measured distance within ``dist_tol`` (relative).
+    it reproduces every measured distance within ``dist_tol`` times the
+    problem's scale (the largest measured distance or anchor extent).
 
     Raises DependentAnchorsError when the anchors do not affinely span the
     ambient space, and NoSolutionError (carrying the worst residual) when
@@ -164,7 +165,10 @@ def trilaterate(p: TrilaterationProblem, tol: Tolerances | None = None) -> Reali
         raise DependentAnchorsError("anchors are affinely dependent")
 
     realized = np.linalg.norm(anchors - solution, axis=1)
-    residual = float(np.max(np.abs(realized - p.dists) / np.maximum(1.0, p.dists)))
+    # The problem's own length scale; the anchor extent keeps it positive
+    # when every measured distance is zero.
+    scale = max(float(p.dists.max()), float(np.ptp(anchors, axis=0).max()))
+    residual = float(np.max(np.abs(realized - p.dists))) / scale
     if residual > tol.dist_tol:
         raise NoSolutionError(residual)
     return Realization(solution[None, :])

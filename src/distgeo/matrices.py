@@ -132,7 +132,7 @@ class GramMatrix:
         _require_finite(g, "Gram matrix")
         skew = np.abs(g - g.T)
         worst = float(skew.max()) if skew.size else 0.0
-        if worst > 1e-8 * max(1.0, float(np.abs(g).max())):
+        if worst > 1e-8 * float(np.abs(g).max()):
             idx = np.argwhere(skew == worst)[0]
             raise AsymmetricMatrixError((int(idx[0]), int(idx[1])), worst)
         object.__setattr__(self, "g", _readonly(0.5 * (g + g.T)))
@@ -225,8 +225,7 @@ def validate_distance_matrix(m, tol: Tolerances | None = None) -> DistanceMatrix
         raise NonSquareError(arr.shape)
     _require_finite(arr, "matrix")
 
-    scale = max(1.0, float(np.abs(arr).max()))
-    atol = tol.dist_tol * scale
+    atol = tol.dist_tol * float(np.abs(arr).max())
 
     skew = np.abs(arr - arr.T)
     if float(skew.max()) > atol:
@@ -248,17 +247,24 @@ def validate_distance_matrix(m, tol: Tolerances | None = None) -> DistanceMatrix
     return DistanceMatrix(out)
 
 
+def _center(d2: np.ndarray) -> np.ndarray:
+    """-1/2 J d2 J over the last two axes, symmetrized, with J = I - (1/n) 11^T.
+
+    ``d2`` holds squared distances, one matrix or a stack of them.
+    """
+    n = d2.shape[-1]
+    j = np.eye(n) - np.full((n, n), 1.0 / n)
+    g = -0.5 * (j @ d2 @ j)
+    return 0.5 * (g + g.swapaxes(-1, -2))
+
+
 def double_center(D: DistanceMatrix) -> GramMatrix:
     """Gram matrix of the centered configuration: G = -1/2 J D^2 J.
 
     J = I - (1/n) 11^T is the centering projector; D is squared elementwise.
     Rows and columns of the result sum to zero.
     """
-    d2 = D.d**2
-    n = D.n
-    j = np.eye(n) - np.full((n, n), 1.0 / n)
-    g = -0.5 * (j @ d2 @ j)
-    return GramMatrix(0.5 * (g + g.T))
+    return GramMatrix(_center(D.d**2))
 
 
 def schoenberg_gram(D: DistanceMatrix) -> GramMatrix:
@@ -290,23 +296,35 @@ def symmetric_eigendecomposition(g: GramMatrix | np.ndarray) -> SpectralDecompos
     return SpectralDecomposition(w[order], v[:, order])
 
 
+def _rank_cut(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical rank and PSD flag of descending spectra along the last axis.
+
+    This is the toolkit's one rank cut.  Eigenvalues within ``rank_tol``
+    times the spectral radius, max(|lambda_max|, |lambda_min|), count as
+    zero, so verdicts do not depend on the unit of measure.  On a
+    descending spectrum that radius is max(lambda_0, -lambda_last), read off
+    the end elements.
+    """
+    lowest = w[..., -1]
+    threshold = tol.rank_tol * np.maximum(w[..., 0], -lowest)
+    rank = (w > threshold[..., None]).sum(axis=-1)
+    return rank, lowest >= -threshold
+
+
 def _factor_gram(
     g: GramMatrix | np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, PsdVerdict, np.ndarray]:
     """Spectrum, PSD verdict and coordinate columns of a Gram matrix.
 
-    This is the toolkit's one rank cut.  Eigenvalues within ``rank_tol``
-    times the spectral radius count as zero, so verdicts do not depend on
-    the unit of measure.  The coordinate columns are the eigenvectors of
-    the eigenvalues above the cut, scaled by their square roots.
+    The rank comes from :func:`_rank_cut`.  The coordinate columns are the
+    eigenvectors of the eigenvalues above the cut, scaled by their square
+    roots.
     """
     dec = symmetric_eigendecomposition(g)
     w = dec.eigenvalues
-    threshold = tol.rank_tol * max(abs(float(w[0])), abs(float(w[-1])))
-    rank = int(np.sum(w > threshold))
-    verdict = PsdVerdict(
-        is_psd=bool(w[-1] >= -threshold), rank=rank, min_eigenvalue=float(w[-1])
-    )
+    rank, is_psd = _rank_cut(w, tol)
+    rank = int(rank)
+    verdict = PsdVerdict(is_psd=bool(is_psd), rank=rank, min_eigenvalue=float(w[-1]))
     coords = dec.eigenvectors[:, :rank] * np.sqrt(w[:rank])
     return w, verdict, coords
 

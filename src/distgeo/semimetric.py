@@ -12,7 +12,7 @@ bordered determinants on all (n+2)- and (n+3)-point subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -22,12 +22,14 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
+    _center,
+    _rank_cut,
     double_center,
     realization_from_gram,
     validate_distance_matrix,
 )
 from .embedding import classify_edm
-from .simplex import SimplexSides, is_flat
+from .simplex import _flat
 
 __all__ = [
     "CONGRUENCE_SEARCH_CAP",
@@ -44,6 +46,11 @@ __all__ = [
 
 CONGRUENCE_SEARCH_CAP = 10
 MENGER_SUBSET_CAP = 12
+
+# Subset stacks start small so an early witness costs little, then grow 4x
+# per chunk up to a cap that bounds the memory of one stack.
+_FIRST_CHUNK = 16
+_CHUNK_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,7 @@ def find_congruence(
     ds = s.d.d
     dt = t.d.d
     n = s.n
-    atol = tol.dist_tol * max(1.0, float(ds.max()), float(dt.max()))
+    atol = tol.dist_tol * max(float(ds.max()), float(dt.max()))
 
     assigned = [-1] * n
     used = [False] * n
@@ -213,9 +220,30 @@ def find_congruence(
     return None
 
 
-def _subset_embeddable(D: DistanceMatrix, dim: int, tol: Tolerances) -> bool:
-    c = classify_edm(D, tol)
-    return c.is_edm and c.dim <= dim
+def _subset_chunks(d2: np.ndarray, k: int):
+    """Every size-k subset of the points in lexicographic order, chunk by chunk.
+
+    Yields ``(rows, stack)``: a (S, k) index array and the (S, k, k) stack of
+    squared sub-matrices gathered from ``d2``, with no re-validation.
+    """
+    subsets = combinations(range(d2.shape[0]), k)
+    size = _FIRST_CHUNK
+    while True:
+        rows = np.array(list(islice(subsets, size)), dtype=np.intp).reshape(-1, k)
+        if not len(rows):
+            return
+        yield rows, d2[rows[:, :, None], rows[:, None, :]]
+        size = min(4 * size, _CHUNK_CAP)
+
+
+def _classify_stack(stack: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical ranks and EDM flags of a stack of squared distance matrices.
+
+    The same verdicts as :func:`classify_edm` on each matrix: centered Gram
+    stack, one batched eigenvalue call, the shared rank cut.
+    """
+    w = np.linalg.eigvalsh(_center(stack))[..., ::-1]
+    return _rank_cut(w, tol)
 
 
 def congruently_embeddable(
@@ -238,10 +266,13 @@ def congruently_embeddable(
         realization = realization_from_gram(double_center(s.d), tol)
         return EmbeddabilityVerdict(True, dim, realization=realization)
 
-    n = s.n
-    for size in range(2, min(n, dim + 3) + 1):
-        for subset in combinations(range(n), size):
-            if not _subset_embeddable(s.d.restrict(subset), dim, tol):
+    d2 = s.d.d**2
+    for size in range(2, min(s.n, dim + 3) + 1):
+        for rows, stack in _subset_chunks(d2, size):
+            rank, is_edm = _classify_stack(stack, tol)
+            failing = ~is_edm | (rank > dim)
+            if failing.any():
+                subset = tuple(rows[np.argmax(failing)].tolist())
                 return EmbeddabilityVerdict(False, dim, failing_subset=subset)
     # Numerically possible when the whole space sits right at the verdict
     # threshold while every small subset clears it; report without witness.
@@ -251,7 +282,7 @@ def congruently_embeddable(
 def verify_menger_criterion(
     s: FiniteSemiMetricSpace, dim: int, tol: Tolerances | None = None
 ) -> MengerReport:
-    """Run the finitistic embeddability criterion subset by subset.
+    """Run the finitistic embeddability criterion over every small subset.
 
     Checks, for n = ``dim``: (base) every min(n+1, |S|)-point subset is a
     Euclidean distance matrix; (flat2) every (n+2)-point subset has a
@@ -259,7 +290,8 @@ def verify_menger_criterion(
     vanishing bordered determinant.  The determinant test uses the
     unit-invariant flatness threshold.  Both quantifier readings of the
     third condition are reported: over all (n+3)-subsets, and only over
-    those containing the independent anchor subset.
+    those containing the independent anchor subset.  Subsets of one size
+    are tested as stacked arrays in lexicographic chunks.
     """
     tol = tol or DEFAULT_TOLERANCES
     if dim < 0:
@@ -268,7 +300,7 @@ def verify_menger_criterion(
     if n > MENGER_SUBSET_CAP:
         raise TooLargeError(n, MENGER_SUBSET_CAP)
 
-    points = range(n)
+    d2 = s.d.d**2
 
     # The anchor is the first base subset realizing dimension exactly dim.
     # When n < dim+1 the base subsets have rank below dim, so none exists.
@@ -276,33 +308,34 @@ def verify_menger_criterion(
     base_failures = []
     base_checked = 0
     anchor = None
-    for subset in combinations(points, base_size):
-        base_checked += 1
-        c = classify_edm(s.d.restrict(subset), tol)
-        if not (c.is_edm and c.dim <= dim):
-            base_failures.append(subset)
-        elif anchor is None and c.dim == dim:
-            anchor = subset
+    for rows, stack in _subset_chunks(d2, base_size):
+        rank, is_edm = _classify_stack(stack, tol)
+        ok = is_edm & (rank <= dim)
+        base_checked += len(rows)
+        base_failures.extend(map(tuple, rows[~ok].tolist()))
+        exact = np.flatnonzero(ok & (rank == dim))
+        if anchor is None and exact.size:
+            anchor = tuple(rows[exact[0]].tolist())
 
-    def flat_failures(size: int, must_contain: tuple | None):
-        checked = 0
-        failures = []
-        if size > n:
-            return checked, tuple(failures)
-        for subset in combinations(points, size):
-            if must_contain is not None and not set(must_contain) <= set(subset):
-                continue
-            checked += 1
-            if not is_flat(SimplexSides(s.d.restrict(subset)), tol):
-                failures.append(subset)
-        return checked, tuple(failures)
+    def flat_scan(size: int, anchor: tuple | None):
+        """Checked count and failures over all size-subsets, then the same
+        over those containing the anchor, masked out of the one scan."""
+        checked = anchored = 0
+        failures, anchored_failures = [], []
+        for rows, stack in _subset_chunks(d2, size):
+            failing = ~_flat(stack, tol)
+            checked += len(rows)
+            failures.extend(map(tuple, rows[failing].tolist()))
+            if anchor is not None:
+                # Subset entries are distinct, so a row holds all of the
+                # anchor exactly when len(anchor) of its entries are in it.
+                has_anchor = np.isin(rows, anchor).sum(axis=1) == len(anchor)
+                anchored += int(has_anchor.sum())
+                anchored_failures.extend(map(tuple, rows[failing & has_anchor].tolist()))
+        return checked, tuple(failures), anchored, tuple(anchored_failures)
 
-    flat2_checked, flat2_fail = flat_failures(dim + 2, None)
-    flat3_checked, flat3_fail = flat_failures(dim + 3, None)
-    if anchor is not None:
-        flat3a_checked, flat3a_fail = flat_failures(dim + 3, anchor)
-    else:
-        flat3a_checked, flat3a_fail = 0, ()
+    flat2_checked, flat2_fail, _, _ = flat_scan(dim + 2, None)
+    flat3_checked, flat3_fail, flat3a_checked, flat3a_fail = flat_scan(dim + 3, anchor)
 
     embeddable = not base_failures and not flat2_fail and not flat3_fail
     return MengerReport(

@@ -92,32 +92,24 @@ def inradius(t: TriangleSides) -> float:
     return math.sqrt(max(x * y * z, 0.0) / (x + y + z))
 
 
-def _det_partial_pivot(m: np.ndarray) -> float:
-    """Determinant by Gaussian elimination with partial pivoting."""
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    det = 1.0
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0.0:
-            return 0.0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            det = -det
-        det *= a[col, col]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= factors[:, None] * a[col, col:]
-    return det
-
-
-def _bordered_matrix(d: np.ndarray) -> np.ndarray:
-    m = d.shape[0]
-    b = np.empty((m + 1, m + 1))
-    b[:m, :m] = d**2
-    b[:m, m] = 1.0
-    b[m, :m] = 1.0
-    b[m, m] = 0.0
+def _bordered(d2: np.ndarray) -> np.ndarray:
+    """Squared distances bordered by a row and column of ones, over the last two axes."""
+    m = d2.shape[-1]
+    b = np.ones(d2.shape[:-2] + (m + 1, m + 1))
+    b[..., :m, :m] = d2
+    b[..., m, m] = 0.0
     return b
+
+
+def _flat(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Zero-volume test on squared side lengths, over the last two axes.
+
+    |det| <= rank_tol * (max squared distance)^(m-1) for m vertices, so the
+    test does not depend on measurement units.  Takes one matrix or a stack.
+    """
+    delta = np.linalg.det(_bordered(d2))
+    dmax2 = d2.max(axis=(-2, -1))
+    return np.abs(delta) <= tol.rank_tol * dmax2 ** (d2.shape[-1] - 1)
 
 
 def cayley_menger_determinant(s: SimplexSides) -> float:
@@ -126,7 +118,7 @@ def cayley_menger_determinant(s: SimplexSides) -> float:
     For m vertices this is the (m+1)-by-(m+1) determinant whose sign
     alternates with the dimension; it vanishes exactly on flat simplices.
     """
-    return _det_partial_pivot(_bordered_matrix(s.d.d))
+    return float(np.linalg.det(_bordered(s.d.d**2)))
 
 
 def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
@@ -154,7 +146,4 @@ def is_flat(s: SimplexSides, tol: Tolerances | None = None) -> bool:
     The determinant is normalized by (max squared distance)^(m-1) so the
     test does not depend on measurement units.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    delta = cayley_menger_determinant(s)
-    dmax2 = float((s.d.d ** 2).max())
-    return abs(delta) <= tol.rank_tol * dmax2 ** (s.m - 1)
+    return bool(_flat(s.d.d**2, tol or DEFAULT_TOLERANCES))

@@ -216,6 +216,22 @@ class TestSignsAndEuler:
         assert bad.returncode == 1 and bad.stdout == "EULER-FAIL chi=3\n"
 
 
+class TestLibraryErrors:
+    def test_unhandled_library_error_exits_2(self, monkeypatch, capsys):
+        from distgeo import cli
+        from distgeo.errors import NotRealizableError
+
+        def fail(*args, **kwargs):
+            raise NotRealizableError(-1.0)
+
+        monkeypatch.setattr(cli, "classify_edm", fail)
+        code = cli.main(["check-edm", str(FIXTURES / "triangle345.txt")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: chord lengths are not realizable")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",

@@ -85,6 +85,13 @@ class TestValidateDistanceMatrix:
     def test_single_point_is_legal(self):
         assert validate_distance_matrix([[0.0]]).n == 1
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-9])
+    def test_asymmetry_is_judged_at_the_matrix_scale(self, scale):
+        with pytest.raises(AsymmetricMatrixError):
+            validate_distance_matrix(np.array([[0.0, 1.0], [3.0, 0.0]]) * scale)
+        with pytest.raises(AsymmetricMatrixError):
+            GramMatrix(np.array([[1.0, 1.0], [3.0, 1.0]]) * scale)
+
 
 class TestDoubleCenter:
     def test_two_points_by_hand(self):

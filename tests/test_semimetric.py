@@ -81,6 +81,14 @@ class TestFindCongruence:
                 validate_semi_metric([[0, 1], [1, 0]]), validate_semi_metric(BAD113)
             )
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_equilateral_vs_degenerate_triangle_at_any_scale(self, scale):
+        equilateral = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) * scale
+        degenerate = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]]) * scale
+        assert find_congruence(
+            validate_semi_metric(equilateral), validate_semi_metric(degenerate)
+        ) is None
+
     def test_too_large(self):
         n = 11
         m = np.ones((n, n)) - np.eye(n)
