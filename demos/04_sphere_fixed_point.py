@@ -2,9 +2,11 @@
 
 Any 4-point metric realizable in 3-space but not in the plane also lives on
 the surface of some sphere.  The construction turns geodesics into chords
-for a trial inverse radius x, realizes the chord tetrahedron, and compares
-its inverse circumradius with x; the sphere that works is a fixed point.
-This script plots the residual curve numerically, then solves it.
+for a trial inverse radius x and compares the chord tetrahedron's inverse
+circumradius with x; the sphere that works is a fixed point.  The inverse
+circumradius comes from the chord lengths alone, by the Cayley-Menger
+identity R^2 = -det(D^2) / (2 det(CM)), so only the final sphere is
+realized as points.  This script tabulates the residual, then solves it.
 """
 
 import math

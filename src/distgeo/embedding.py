@@ -96,14 +96,16 @@ def classify_edm(D: DistanceMatrix, tol: Tolerances | None = None) -> EdmClassif
 
 
 def _max_relative_distance_error(realized: np.ndarray, target: np.ndarray) -> float:
+    # Errors on zero target distances are relative to the largest one; an
+    # all-zero target realizes as coincident points, with no error.
     n = target.shape[0]
-    if n < 2:
+    scale = float(target.max())
+    if n < 2 or scale == 0.0:
         return 0.0
     iu = np.triu_indices(n, 1)
     want = target[iu]
     got = realized[iu]
-    floor = max(float(target.max()), 1.0)
-    denom = np.where(want > 0, want, floor)
+    denom = np.where(want > 0, want, scale)
     return float(np.max(np.abs(got - want) / denom))
 
 

@@ -311,6 +311,16 @@ def _rank_cut(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     return rank, lowest >= -threshold
 
 
+def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical ranks and EDM flags of a stack of squared distance matrices.
+
+    The same verdicts as ``classify_edm`` on each matrix: centered Gram
+    stack, one batched eigenvalue call, the shared rank cut.
+    """
+    w = np.linalg.eigvalsh(_center(d2))[..., ::-1]
+    return _rank_cut(w, tol)
+
+
 def _factor_gram(
     g: GramMatrix | np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, PsdVerdict, np.ndarray]:

@@ -22,13 +22,11 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
-    _center,
-    _rank_cut,
+    _classify_stack,
+    _factor_gram,
     double_center,
-    realization_from_gram,
     validate_distance_matrix,
 )
-from .embedding import classify_edm
 from .simplex import _flat
 
 __all__ = [
@@ -236,16 +234,6 @@ def _subset_chunks(d2: np.ndarray, k: int):
         size = min(4 * size, _CHUNK_CAP)
 
 
-def _classify_stack(stack: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Numerical ranks and EDM flags of a stack of squared distance matrices.
-
-    The same verdicts as :func:`classify_edm` on each matrix: centered Gram
-    stack, one batched eigenvalue call, the shared rank cut.
-    """
-    w = np.linalg.eigvalsh(_center(stack))[..., ::-1]
-    return _rank_cut(w, tol)
-
-
 def congruently_embeddable(
     s: FiniteSemiMetricSpace, dim: int, tol: Tolerances | None = None
 ) -> EmbeddabilityVerdict:
@@ -261,10 +249,9 @@ def congruently_embeddable(
     tol = tol or DEFAULT_TOLERANCES
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
-    c = classify_edm(s.d, tol)
-    if c.is_edm and c.dim <= dim:
-        realization = realization_from_gram(double_center(s.d), tol)
-        return EmbeddabilityVerdict(True, dim, realization=realization)
+    _, verdict, coords = _factor_gram(double_center(s.d), tol)
+    if verdict.is_psd and verdict.rank <= dim:
+        return EmbeddabilityVerdict(True, dim, realization=Realization(coords))
 
     d2 = s.d.d**2
     for size in range(2, min(s.n, dim + 3) + 1):

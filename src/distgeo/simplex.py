@@ -105,11 +105,12 @@ def _flat(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Zero-volume test on squared side lengths, over the last two axes.
 
     |det| <= rank_tol * (max squared distance)^(m-1) for m vertices, so the
-    test does not depend on measurement units.  Takes one matrix or a stack.
+    test does not depend on measurement units.  The determinant is taken in
+    units of the largest distance, so it neither overflows nor underflows.
+    Takes one matrix or a stack.
     """
-    delta = np.linalg.det(_bordered(d2))
-    dmax2 = d2.max(axis=(-2, -1))
-    return np.abs(delta) <= tol.rank_tol * dmax2 ** (d2.shape[-1] - 1)
+    scale = d2.max(axis=(-2, -1), keepdims=True, initial=np.finfo(float).tiny)
+    return np.abs(np.linalg.det(_bordered(d2 / scale))) <= tol.rank_tol
 
 
 def cayley_menger_determinant(s: SimplexSides) -> float:
@@ -124,20 +125,19 @@ def cayley_menger_determinant(s: SimplexSides) -> float:
 def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     """Volume of the (m-1)-simplex with the given side lengths.
 
-    Uses V_n^2 = (-1)^(n-1) / (2^n (n!)^2) * det with n = m-1.  A squared
-    volume inside -rank_tol times (largest distance)^(2n) clamps to zero, so
-    the test does not depend on measurement units, as in :func:`is_flat`;
-    anything more negative raises InfeasibleError carrying the squared
-    volume.
+    Uses V_n^2 = (-1)^(n-1) / (2^n (n!)^2) * det with n = m-1.  A simplex
+    that :func:`is_flat` calls flat has volume exactly 0.0; otherwise a
+    negative squared volume raises InfeasibleError carrying it.
     """
     tol = tol or DEFAULT_TOLERANCES
+    if _flat(s.d.d**2, tol):
+        return 0.0
     n = s.m - 1
     delta = cayley_menger_determinant(s)
     v2 = ((-1.0) ** (n - 1) / (2.0**n * math.factorial(n) ** 2)) * delta
-    dmax = float(s.d.d.max())
-    if v2 < -tol.rank_tol * dmax ** (2 * n):
+    if v2 < 0.0:
         raise InfeasibleError("side lengths are not realizable", v2)
-    return math.sqrt(max(v2, 0.0))
+    return math.sqrt(v2)
 
 
 def is_flat(s: SimplexSides, tol: Tolerances | None = None) -> bool:

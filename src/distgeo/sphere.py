@@ -4,10 +4,11 @@ A 4-point semi-metric realizable in 3-space but not in the plane can be
 placed on the surface of some sphere so that the six geodesic arc lengths
 reproduce the six given distances.  The construction maps an inverse radius
 x to the chord lengths the geodesics would subtend on a sphere of radius
-1/x, realizes the chord tetrahedron in 3-space, and reads off the inverse
-circumradius; a fixed point of that map is the sphere that works.  The
-solver scans for the first sign change and bisects, treating inverse radii
-where the chord tetrahedron stops existing as a right-bracket shrink.
+1/x and takes the inverse circumradius of the chord tetrahedron, in closed
+form from its side lengths (R^2 = -det(D^2) / (2 det(CM))); a fixed point
+of that map is the sphere that works.  The solver scans a grid of x in one
+stacked evaluation for the first sign change and bisects, treating inverse
+radii where the chord tetrahedron stops existing as a right-bracket shrink.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
+    _classify_stack,
     _factor_gram,
     double_center,
 )
+from .simplex import _bordered, _flat
 
 __all__ = [
     "VERTEX_PAIRS",
@@ -46,6 +49,7 @@ __all__ = [
 
 # Order in which the six vertex pairs of a tetrahedron are listed.
 VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_ROWS, _COLS = np.array(VERTEX_PAIRS).T
 
 BISECTION_ITERATION_CAP = 200
 SCAN_POINTS = 64
@@ -72,16 +76,13 @@ class GeodesicTetrahedron:
         return float(self.a.max())
 
     def distance_matrix(self) -> DistanceMatrix:
-        m = np.zeros((4, 4))
-        for value, (i, j) in zip(self.a, VERTEX_PAIRS):
-            m[i, j] = m[j, i] = value
-        return DistanceMatrix(m)
+        return DistanceMatrix(_pair_matrices(self.a))
 
     @classmethod
     def from_distance_matrix(cls, d: DistanceMatrix) -> "GeodesicTetrahedron":
         if d.n != 4:
             raise ValueError(f"need a 4x4 distance matrix, got {d.n}x{d.n}")
-        return cls(np.array([d.d[i, j] for i, j in VERTEX_PAIRS]))
+        return cls(d.d[_ROWS, _COLS])
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,18 @@ class SphericalEmbedding:
         object.__setattr__(self, "geodesics", g)
 
 
+def _pair_matrices(values: np.ndarray) -> np.ndarray:
+    """Symmetric hollow (..., 4, 4) matrices from (..., 6) values in VERTEX_PAIRS order."""
+    m = np.zeros(values.shape[:-1] + (4, 4))
+    m[..., _ROWS, _COLS] = m[..., _COLS, _ROWS] = values
+    return m
+
+
+def _chords(alpha, x):
+    """(2/x) sin(alpha x / 2), broadcasting; sinc makes x = 0 give alpha."""
+    return alpha * np.sinc(alpha * x / (2.0 * math.pi))
+
+
 def chord_length(alpha: float, x: float) -> float:
     """Chord subtending a geodesic of length alpha on the sphere of radius 1/x.
 
@@ -134,23 +147,16 @@ def chord_length(alpha: float, x: float) -> float:
         raise ValueError(f"geodesic length must be nonnegative, got {alpha!r}")
     if not (math.isfinite(x) and x >= 0):
         raise ValueError(f"inverse radius must be nonnegative, got {x!r}")
-    if x == 0.0:
-        return alpha
     if alpha * x > 2.0 * math.pi:
         raise GeodesicTooLongError(alpha, x)
-    return (2.0 / x) * math.sin(0.5 * alpha * x)
+    return float(_chords(alpha, x))
 
 
 def _realize_chords(
     c: np.ndarray, tol: Tolerances
 ) -> tuple[Realization, int]:
     """Realize six chord lengths as 4 points in R^3, plus the affine rank."""
-    m = np.zeros((4, 4))
-    for value, (i, j) in zip(c, VERTEX_PAIRS):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"chord lengths must be nonnegative, got {value!r}")
-        m[i, j] = m[j, i] = value
-    _, verdict, columns = _factor_gram(double_center(DistanceMatrix(m)), tol)
+    _, verdict, columns = _factor_gram(double_center(DistanceMatrix(_pair_matrices(c))), tol)
     if not verdict.is_psd or verdict.rank > 3:
         raise NotRealizableError(verdict.min_eigenvalue)
     coords = np.zeros((4, 3))
@@ -177,24 +183,42 @@ def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
     """Sphere through four points in R^3.
 
     Solves the linear system equating squared distances to a common center.
-    When the tetrahedron volume is below rank_tol times the cubed longest
-    side the points are treated as coplanar and the radius is infinite.
+    When the tetrahedron is flat by the toolkit's one flatness bound (see
+    :func:`distgeo.simplex.is_flat`) the points are treated as coplanar and
+    the radius is infinite.
     """
     tol = tol or DEFAULT_TOLERANCES
     p = t.coords
     if p.shape != (4, 3):
         raise ValueError(f"need exactly 4 points in R^3, got shape {p.shape}")
-    edges = p[1:] - p[0]
-    volume = abs(float(np.linalg.det(edges))) / 6.0
-    diff = p[:, None, :] - p[None, :, :]
-    longest = float(np.sqrt((diff**2).sum(axis=-1)).max())
-    if volume <= tol.rank_tol * longest**3:
+    if _flat(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1), tol):
         return Circumsphere(math.inf, None)
-    a = 2.0 * edges
+    a = 2.0 * (p[1:] - p[0])
     b = (p[1:] ** 2).sum(axis=1) - (p[0] ** 2).sum()
     center = np.linalg.solve(a, b)
     radius = float(np.linalg.norm(p - center, axis=1).mean())
     return Circumsphere(radius, center)
+
+
+def _inverse_circumradii(
+    xs: np.ndarray, g: GeodesicTetrahedron, tol: Tolerances
+) -> np.ndarray:
+    """Inverse circumradius of the chord tetrahedron at each inverse radius in xs.
+
+    NaN where the chord tetrahedron does not exist (not PSD, or rank above
+    3), 0.0 where it is planar (rank below 3), and otherwise the closed
+    form sqrt(-2 det(CM) / det(D^2)) in the squared chords D^2.  Chords are
+    taken in units of a_max, so neither determinant overflows or underflows
+    at any scale of the input.
+    """
+    a_max = g.a_max
+    d2 = _pair_matrices(_chords(g.a / a_max, xs[:, None] * a_max) ** 2)
+    rank, is_psd = _classify_stack(d2, tol)
+    out = np.where(is_psd & (rank < 3), 0.0, np.nan)
+    solid = is_psd & (rank == 3)
+    d2 = d2[solid]
+    out[solid] = np.sqrt(-2.0 * np.linalg.det(_bordered(d2)) / np.linalg.det(d2)) / a_max
+    return out
 
 
 def inverse_circumradius(
@@ -206,29 +230,18 @@ def inverse_circumradius(
     not exist (the fixed-point solver treats None as a bracket shrink).
     Defined for 0 <= x < pi / a_max.
     """
-    tol = tol or DEFAULT_TOLERANCES
     if not (0.0 <= x < math.pi / g.a_max):
         raise ValueError(
             f"inverse radius {x!r} outside [0, pi/a_max) = [0, {math.pi / g.a_max!r})"
         )
-    chords = np.array([chord_length(alpha, x) for alpha in g.a])
-    try:
-        realization, _ = _realize_chords(chords, tol)
-    except NotRealizableError:
-        return None
-    sphere = circumradius(realization, tol)
-    if not sphere.is_finite:
-        return 0.0
-    return 1.0 / sphere.radius
+    value = float(_inverse_circumradii(np.array([x]), g, tol or DEFAULT_TOLERANCES)[0])
+    return None if math.isnan(value) else value
 
 
 def _realized_geodesics(points: np.ndarray, radius: float) -> np.ndarray:
-    out = np.empty(6)
-    for idx, (i, j) in enumerate(VERTEX_PAIRS):
-        cross = np.linalg.norm(np.cross(points[i], points[j]))
-        dot = float(points[i] @ points[j])
-        out[idx] = radius * math.atan2(cross, dot)
-    return out
+    p, q = points[_ROWS], points[_COLS]
+    cross = np.linalg.norm(np.cross(p, q), axis=1)
+    return radius * np.arctan2(cross, (p * q).sum(axis=1))
 
 
 def embed_on_sphere(
@@ -246,7 +259,7 @@ def embed_on_sphere(
     """
     tol = tol or DEFAULT_TOLERANCES
     try:
-        flat, rank = _realize_chords(g.a, tol)
+        _, rank = _realize_chords(g.a, tol)
     except NotRealizableError as err:
         raise NotApplicableError(
             f"side lengths are not realizable in 3-space ({err})"
@@ -256,47 +269,32 @@ def embed_on_sphere(
             "side lengths are realizable in the plane; no sphere is needed"
         )
 
+    # The residual phi(x) - x starts positive at x = 0: phi(0) is the inverse
+    # circumradius of the input itself, finite because its rank is 3.  NaN
+    # (no chord tetrahedron) compares as not positive.
     x_hi = math.pi / g.a_max
     eps = 1e-9 * x_hi
-
-    def residual(x: float) -> float | None:
-        value = inverse_circumradius(x, g, tol)
-        return None if value is None else value - x
-
-    # phi(0) = inverse circumradius of the flat tetrahedron, positive here
-    # because the input is non-planar.
-    lo = 0.0
-    lo_res = residual(0.0)
-    if lo_res is None or lo_res <= 0.0:
-        raise NotApplicableError("flat configuration has no finite circumsphere")
-
-    hi = None
     grid = np.linspace(eps, x_hi - eps, SCAN_POINTS)
-    for x in grid:
-        r = residual(float(x))
-        if r is not None and r > 0.0:
-            lo = float(x)
-        else:
-            hi = float(x)
-            break
-    if hi is None:
+    stops = np.flatnonzero(~(_inverse_circumradii(grid, g, tol) > grid))
+    if not stops.size:
         raise NoConvergenceError(
             "no sign change of the fixed-point residual inside (0, pi/a_max)"
         )
+    first = int(stops[0])
+    lo = float(grid[first - 1]) if first else 0.0
+    hi = float(grid[first])
 
     for _ in range(BISECTION_ITERATION_CAP):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        r = residual(mid)
-        if r is not None and r > 0.0:
+        if _inverse_circumradii(np.array([mid]), g, tol)[0] > mid:
             lo = mid
         else:
             hi = mid
 
     y = lo if lo > 0.0 else hi
-    chords = np.array([chord_length(alpha, y) for alpha in g.a])
-    tetra, _ = _realize_chords(chords, tol)
+    tetra, _ = _realize_chords(_chords(g.a, y), tol)
     sphere = circumradius(tetra, tol)
     if not sphere.is_finite:
         raise NoConvergenceError("fixed-point refinement landed on a planar tetrahedron")

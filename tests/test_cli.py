@@ -119,7 +119,7 @@ class TestVolumeAndHeron:
     def test_volume_five_points_vanishes(self):
         r = run_cli("volume", FIXTURES / "five_points_3d.txt")
         assert r.returncode == 0
-        assert float(r.stdout) <= 1e-6
+        assert float(r.stdout) == 0.0
 
 
 class TestTrilaterate:

@@ -9,10 +9,11 @@ every length.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distgeo.embedding import classify_edm
+from distgeo.embedding import classical_mds, classify_edm
 from distgeo.matrices import DistanceMatrix, Realization, edm_from_realization
 from distgeo.semimetric import (
     FiniteSemiMetricSpace,
@@ -79,3 +80,21 @@ def test_sphere_radius_scales_with_the_geodesics(jitter, k):
     base = embed_on_sphere(GeodesicTetrahedron(a))
     scaled = embed_on_sphere(GeodesicTetrahedron(k * a))
     assert math.isclose(scaled.radius, k * base.radius, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("k", [1e-60, 1e60])
+def test_sphere_radius_scales_at_extreme_units(k):
+    a = REGULAR_GEODESIC * np.array([1.0, 1.1, 0.9, 1.05, 0.95, 1.0])
+    base = embed_on_sphere(GeodesicTetrahedron(a))
+    scaled = embed_on_sphere(GeodesicTetrahedron(k * a))
+    assert math.isclose(scaled.radius, k * base.radius, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e6])
+def test_mds_residual_is_unit_invariant(k):
+    # points 0 and 1 coincide, so their realized distance is measured
+    # against the largest target distance, not against a fixed unit
+    d = np.array([[0, 0, 1, 1], [0, 0, 2, 1], [1, 2, 0, 1], [1, 1, 1, 0.0]])
+    base = classical_mds(DistanceMatrix(d)).residual
+    scaled = classical_mds(DistanceMatrix(k * d)).residual
+    assert math.isclose(scaled, base, rel_tol=1e-9)

@@ -6,6 +6,7 @@ formula; numpy.linalg.det serves as the determinant oracle.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +177,15 @@ class TestSimplexVolume:
             vol = simplex_volume(SimplexSides.from_triangle(t))
             assert abs(area - vol) <= 1e-9 * max(1.0, area)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e6])
+    def test_flat_simplex_has_zero_volume(self, scale):
+        # five points in 3-space span no 4-volume; the determinant keeps
+        # only a rounding residue, which must not surface as a volume
+        d = np.loadtxt(Path(__file__).parent / "fixtures" / "five_points_3d.txt")
+        s = SimplexSides(DistanceMatrix(scale * d))
+        assert is_flat(s)
+        assert simplex_volume(s) == 0.0
+
     def test_matches_coordinate_volume(self):
         rng = np.random.default_rng(16)
         for _ in range(40):
@@ -197,6 +207,13 @@ class TestIsFlat:
 
     def test_regular_tetrahedron_is_not(self):
         assert not is_flat(SimplexSides(DistanceMatrix(np.ones((4, 4)) - np.eye(4))))
+
+    @pytest.mark.parametrize("scale", [1e-60, 1e60])
+    def test_regular_tetrahedron_is_not_at_extreme_scales(self, scale):
+        # the bordered determinant of these sides under- or overflows unless
+        # it is taken in units of the longest side
+        d = scale * (np.ones((4, 4)) - np.eye(4))
+        assert not is_flat(SimplexSides(DistanceMatrix(d)))
 
     def test_collinear_points(self):
         assert is_flat(SimplexSides.from_triangle(TriangleSides(1, 1, 2)))

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from distgeo.errors import (
     GeodesicTooLongError,
@@ -16,6 +18,8 @@ from distgeo.errors import (
 )
 from distgeo.matrices import Realization
 from distgeo.sphere import (
+    BISECTION_ITERATION_CAP,
+    SCAN_POINTS,
     VERTEX_PAIRS,
     GeodesicTetrahedron,
     chord_length,
@@ -45,6 +49,50 @@ def random_tetra_geodesics(rng, min_volume=0.05):
         pts = rng.standard_normal((4, 3))
         if abs(np.linalg.det(pts[1:] - pts[0])) / 6 >= min_volume:
             return GeodesicTetrahedron(geodesics_of(pts))
+
+
+def random_cap_geodesics(rng):
+    """Geodesics of four points on a unit-sphere cap, possibly perturbed."""
+    v = rng.standard_normal((4, 3)) * rng.uniform(0.1, 0.7) + [0.0, 0.0, 1.0]
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    a = np.array(
+        [math.atan2(np.linalg.norm(np.cross(v[i], v[j])), v[i] @ v[j]) for i, j in VERTEX_PAIRS]
+    )
+    return a * (1.0 + rng.uniform(-0.2, 0.2, 6) * (rng.uniform() < 0.2))
+
+
+def reference_inverse_circumradius(x, g):
+    """The inverse circumradius by realizing the chord tetrahedron as points."""
+    try:
+        t = tetrahedron_from_chords([chord_length(alpha, x) for alpha in g.a])
+    except NotRealizableError:
+        return None
+    sphere = circumradius(t)
+    return 1.0 / sphere.radius if sphere.is_finite else 0.0
+
+
+def reference_radius(g):
+    """embed_on_sphere's radius, scanning and bisecting one scalar residual at a time."""
+
+    def positive(x):
+        value = reference_inverse_circumradius(x, g)
+        return value is not None and value > x
+
+    x_hi = math.pi / g.a_max
+    eps = 1e-9 * x_hi
+    lo = 0.0
+    for x in np.linspace(eps, x_hi - eps, SCAN_POINTS):
+        hi = float(x)
+        if not positive(hi):
+            break
+        lo = hi
+    for _ in range(BISECTION_ITERATION_CAP):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+    y = lo if lo > 0.0 else hi
+    return circumradius(tetrahedron_from_chords([chord_length(a, y) for a in g.a])).radius
 
 
 class TestChordLength:
@@ -131,6 +179,9 @@ class TestInverseCircumradius:
         expect = 1.0 / (REGULAR_GEODESIC * math.sqrt(3 / 8))
         assert inverse_circumradius(0.0, g) == pytest.approx(expect, abs=1e-12)
 
+    def test_planar_chords_give_zero(self):
+        assert inverse_circumradius(0.0, GeodesicTetrahedron(SQUARE_CHORDS)) == 0.0
+
     def test_outside_interval_rejected(self):
         g = GeodesicTetrahedron(np.full(6, REGULAR_GEODESIC))
         with pytest.raises(ValueError):
@@ -156,6 +207,25 @@ class TestInverseCircumradius:
             g = random_tetra_geodesics(rng)
             xs = np.linspace(1e-6, math.pi / g.a_max * (1 - 1e-9), 25)
             assert all(inverse_circumradius(float(x), g) is not None for x in xs)
+
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+        st.integers(0, 999),
+        st.integers(-60, 60),
+    )
+    def test_closed_form_matches_realized_circumradius(self, coords, f, u):
+        pts = np.array(coords, dtype=float).reshape(4, 3)
+        assume(abs(np.linalg.det(pts[1:] - pts[0])) >= 6.0)
+        g = GeodesicTetrahedron(geodesics_of(pts) * 10.0 ** (u / 10))
+        x = f / 1000 * math.pi / g.a_max
+        want = reference_inverse_circumradius(x, g)
+        got = inverse_circumradius(x, g)
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestEmbedOnSphere:
@@ -206,3 +276,16 @@ class TestEmbedOnSphere:
             r0 = inverse_circumradius(0.0, g)
             small = inverse_circumradius(1e-6, g)
             assert abs(small - r0) <= 1e-3 * r0
+
+    def test_radius_matches_scalar_reference_scan(self):
+        rng = np.random.default_rng(44)
+        solved = 0
+        for _ in range(60):
+            g = GeodesicTetrahedron(random_cap_geodesics(rng) * 10.0 ** rng.uniform(-6, 6))
+            try:
+                radius = embed_on_sphere(g).radius
+            except NotApplicableError:
+                continue
+            solved += 1
+            assert radius == pytest.approx(reference_radius(g), rel=1e-9)
+        assert solved >= 15
