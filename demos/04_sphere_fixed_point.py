@@ -5,8 +5,9 @@ the surface of some sphere.  The construction turns geodesics into chords
 for a trial inverse radius x and compares the chord tetrahedron's inverse
 circumradius with x; the sphere that works is a fixed point.  The inverse
 circumradius comes from the chord lengths alone, by the Cayley-Menger
-identity R^2 = -det(D^2) / (2 det(CM)), so only the final sphere is
-realized as points.  This script tabulates the residual, then solves it.
+identity R^2 = -det(D^2) / (2 det(CM)), evaluated as a solve with the
+Gram matrix anchored at one vertex, so only the final sphere is realized
+as points.  This script tabulates the residual, then solves it.
 """
 
 import math

@@ -96,8 +96,7 @@ def classify_edm(D: DistanceMatrix, tol: Tolerances | None = None) -> EdmClassif
 
 
 def _max_relative_distance_error(realized: np.ndarray, target: np.ndarray) -> float:
-    # Errors on zero target distances are relative to the largest one; an
-    # all-zero target realizes as coincident points, with no error.
+    # Zero target distances are measured against the largest; all zero is exact.
     n = target.shape[0]
     scale = float(target.max())
     if n < 2 or scale == 0.0:

@@ -267,6 +267,12 @@ def double_center(D: DistanceMatrix) -> GramMatrix:
     return GramMatrix(_center(D.d**2))
 
 
+def _anchor(d2: np.ndarray) -> np.ndarray:
+    """(d_0i^2 + d_0j^2 - d_ij^2) / 2 for i, j >= 1, over the last two axes of ``d2``."""
+    row = d2[..., 0, 1:]
+    return 0.5 * (row[..., :, None] + row[..., None, :] - d2[..., 1:, 1:])
+
+
 def schoenberg_gram(D: DistanceMatrix) -> GramMatrix:
     """Gram matrix anchored at point 0: G_ij = (d_0i^2 + d_0j^2 - d_ij^2) / 2.
 
@@ -276,10 +282,7 @@ def schoenberg_gram(D: DistanceMatrix) -> GramMatrix:
     """
     if D.n < 2:
         raise ValueError("anchored Gram matrix needs at least 2 points")
-    d2 = D.d**2
-    row = d2[0, 1:]
-    g = 0.5 * (row[:, None] + row[None, :] - d2[1:, 1:])
-    return GramMatrix(g)
+    return GramMatrix(_anchor(D.d**2))
 
 
 def symmetric_eigendecomposition(g: GramMatrix | np.ndarray) -> SpectralDecomposition:
@@ -312,11 +315,8 @@ def _rank_cut(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Numerical ranks and EDM flags of a stack of squared distance matrices.
-
-    The same verdicts as ``classify_edm`` on each matrix: centered Gram
-    stack, one batched eigenvalue call, the shared rank cut.
-    """
+    """Numerical ranks and EDM flags of a stack of squared distance matrices,
+    as ``classify_edm`` gives them: one batched eigvalsh, the shared rank cut."""
     w = np.linalg.eigvalsh(_center(d2))[..., ::-1]
     return _rank_cut(w, tol)
 

@@ -101,16 +101,16 @@ def _bordered(d2: np.ndarray) -> np.ndarray:
     return b
 
 
-def _flat(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Zero-volume test on squared side lengths, over the last two axes.
-
-    |det| <= rank_tol * (max squared distance)^(m-1) for m vertices, so the
-    test does not depend on measurement units.  The determinant is taken in
-    units of the largest distance, so it neither overflows nor underflows.
-    Takes one matrix or a stack.
-    """
+def _unit_determinant(d2: np.ndarray) -> np.ndarray:
+    """Bordered determinant of squared distances in units of the largest, over
+    the last two axes: unit-free, and it neither overflows nor underflows."""
     scale = d2.max(axis=(-2, -1), keepdims=True, initial=np.finfo(float).tiny)
-    return np.abs(np.linalg.det(_bordered(d2 / scale))) <= tol.rank_tol
+    return np.linalg.det(_bordered(d2 / scale))
+
+
+def _flat(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Zero-volume test on squared side lengths: |unit determinant| <= rank_tol."""
+    return np.abs(_unit_determinant(d2)) <= tol.rank_tol
 
 
 def cayley_menger_determinant(s: SimplexSides) -> float:
@@ -125,19 +125,22 @@ def cayley_menger_determinant(s: SimplexSides) -> float:
 def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     """Volume of the (m-1)-simplex with the given side lengths.
 
-    Uses V_n^2 = (-1)^(n-1) / (2^n (n!)^2) * det with n = m-1.  A simplex
-    that :func:`is_flat` calls flat has volume exactly 0.0; otherwise a
-    negative squared volume raises InfeasibleError carrying it.
+    Uses V_n^2 = (-1)^(n-1) / (2^n (n!)^2) * det with n = m-1, the
+    determinant taken in units of the longest side.  Within its rounding
+    level, (m+1)^2 machine epsilons, the volume is exactly 0.0.  A negative
+    squared volume gives 0.0 on a simplex that :func:`is_flat` calls flat
+    and otherwise raises InfeasibleError carrying it.
     """
     tol = tol or DEFAULT_TOLERANCES
-    if _flat(s.d.d**2, tol):
-        return 0.0
     n = s.m - 1
-    delta = cayley_menger_determinant(s)
+    delta = float(_unit_determinant(s.d.d**2))
+    if abs(delta) <= (n + 2) ** 2 * np.finfo(float).eps:
+        return 0.0
     v2 = ((-1.0) ** (n - 1) / (2.0**n * math.factorial(n) ** 2)) * delta
-    if v2 < 0.0:
-        raise InfeasibleError("side lengths are not realizable", v2)
-    return math.sqrt(v2)
+    dmax = float(s.d.d.max())
+    if v2 < 0.0 and not _flat(s.d.d**2, tol):
+        raise InfeasibleError("side lengths are not realizable", v2 * dmax ** (2 * n))
+    return math.sqrt(max(v2, 0.0)) * dmax**n
 
 
 def is_flat(s: SimplexSides, tol: Tolerances | None = None) -> bool:

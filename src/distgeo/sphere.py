@@ -5,10 +5,11 @@ placed on the surface of some sphere so that the six geodesic arc lengths
 reproduce the six given distances.  The construction maps an inverse radius
 x to the chord lengths the geodesics would subtend on a sphere of radius
 1/x and takes the inverse circumradius of the chord tetrahedron, in closed
-form from its side lengths (R^2 = -det(D^2) / (2 det(CM))); a fixed point
-of that map is the sphere that works.  The solver scans a grid of x in one
-stacked evaluation for the first sign change and bisects, treating inverse
-radii where the chord tetrahedron stops existing as a right-bracket shrink.
+form from its side lengths (R^2 = -det(D^2) / (2 det(CM)), solved through
+the anchored Gram matrix); a fixed point of that map is the sphere that
+works.  The solver scans a grid of x in one stacked evaluation for the
+first sign change and bisects, treating inverse radii where the chord
+tetrahedron stops existing as a right-bracket shrink.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
+    _anchor,
     _classify_stack,
     _factor_gram,
     double_center,
 )
-from .simplex import _bordered, _flat
 
 __all__ = [
     "VERTEX_PAIRS",
@@ -152,9 +153,7 @@ def chord_length(alpha: float, x: float) -> float:
     return float(_chords(alpha, x))
 
 
-def _realize_chords(
-    c: np.ndarray, tol: Tolerances
-) -> tuple[Realization, int]:
+def _realize_chords(c: np.ndarray, tol: Tolerances) -> tuple[Realization, int]:
     """Realize six chord lengths as 4 points in R^3, plus the affine rank."""
     _, verdict, columns = _factor_gram(double_center(DistanceMatrix(_pair_matrices(c))), tol)
     if not verdict.is_psd or verdict.rank > 3:
@@ -183,15 +182,16 @@ def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
     """Sphere through four points in R^3.
 
     Solves the linear system equating squared distances to a common center.
-    When the tetrahedron is flat by the toolkit's one flatness bound (see
-    :func:`distgeo.simplex.is_flat`) the points are treated as coplanar and
+    When the points span fewer than 3 dimensions by the toolkit's one rank
+    cut (as in :func:`distgeo.embedding.classify_edm`) they are coplanar and
     the radius is infinite.
     """
     tol = tol or DEFAULT_TOLERANCES
     p = t.coords
     if p.shape != (4, 3):
         raise ValueError(f"need exactly 4 points in R^3, got shape {p.shape}")
-    if _flat(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1), tol):
+    rank, _ = _classify_stack(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1), tol)
+    if rank < 3:
         return Circumsphere(math.inf, None)
     a = 2.0 * (p[1:] - p[0])
     b = (p[1:] ** 2).sum(axis=1) - (p[0] ** 2).sum()
@@ -206,10 +206,11 @@ def _inverse_circumradii(
     """Inverse circumradius of the chord tetrahedron at each inverse radius in xs.
 
     NaN where the chord tetrahedron does not exist (not PSD, or rank above
-    3), 0.0 where it is planar (rank below 3), and otherwise the closed
-    form sqrt(-2 det(CM) / det(D^2)) in the squared chords D^2.  Chords are
-    taken in units of a_max, so neither determinant overflows or underflows
-    at any scale of the input.
+    3), 0.0 where it is planar (rank below 3), and otherwise 2 / sqrt(b^T
+    G^-1 b), with G the Gram matrix anchored at vertex 0 and b its diagonal:
+    the Cayley-Menger ratio R^2 = -det(D^2) / (2 det(CM)) without the two
+    determinants, which lose digits on needle-shaped tetrahedra.  Chords are
+    taken in units of a_max, so the residual neither over- nor underflows.
     """
     a_max = g.a_max
     d2 = _pair_matrices(_chords(g.a / a_max, xs[:, None] * a_max) ** 2)
@@ -217,7 +218,9 @@ def _inverse_circumradii(
     out = np.where(is_psd & (rank < 3), 0.0, np.nan)
     solid = is_psd & (rank == 3)
     d2 = d2[solid]
-    out[solid] = np.sqrt(-2.0 * np.linalg.det(_bordered(d2)) / np.linalg.det(d2)) / a_max
+    b = d2[:, 0, 1:]
+    bgb = (b * np.linalg.solve(_anchor(d2), b[..., None])[..., 0]).sum(axis=-1)
+    out[solid] = 2.0 / (np.sqrt(bgb) * a_max)
     return out
 
 
@@ -288,10 +291,8 @@ def embed_on_sphere(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _inverse_circumradii(np.array([mid]), g, tol)[0] > mid:
-            lo = mid
-        else:
-            hi = mid
+        positive = _inverse_circumradii(np.array([mid]), g, tol)[0] > mid
+        lo, hi = (mid, hi) if positive else (lo, mid)
 
     y = lo if lo > 0.0 else hi
     tetra, _ = _realize_chords(_chords(g.a, y), tol)

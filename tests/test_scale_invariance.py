@@ -82,7 +82,7 @@ def test_sphere_radius_scales_with_the_geodesics(jitter, k):
     assert math.isclose(scaled.radius, k * base.radius, rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("k", [1e-60, 1e60])
+@pytest.mark.parametrize("k", [1e-155, 1e-60, 1e60])
 def test_sphere_radius_scales_at_extreme_units(k):
     a = REGULAR_GEODESIC * np.array([1.0, 1.1, 0.9, 1.05, 0.95, 1.0])
     base = embed_on_sphere(GeodesicTetrahedron(a))

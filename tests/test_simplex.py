@@ -186,6 +186,25 @@ class TestSimplexVolume:
         assert is_flat(s)
         assert simplex_volume(s) == 0.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e6])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-10])
+    def test_thin_triangle_keeps_its_area(self, gap, scale):
+        # sides 1, 1, 2 - gap: flat by the rank_tol bound when gap is 1e-10,
+        # yet the area c/4 sqrt((2 - c)(2 + c)) is far above rounding, and
+        # 2 - c is exact in floating point
+        c = 2.0 - gap
+        area = c / 4 * math.sqrt((2.0 - c) * (2.0 + c)) * scale**2
+        t = TriangleSides(scale, scale, c * scale)
+        volume = simplex_volume(SimplexSides.from_triangle(t))
+        assert volume == pytest.approx(area, rel=1e-4, abs=0)
+        assert abs(heron_area(t) - volume) <= 1e-9 * max(scale**2, area)
+
+    @pytest.mark.parametrize("scale", [1e-60, 1e60])
+    def test_regular_tetrahedron_at_extreme_scales(self, scale):
+        s = SimplexSides(DistanceMatrix(scale * (np.ones((4, 4)) - np.eye(4))))
+        want = REGULAR_TETRA_VOLUME * scale**3
+        assert simplex_volume(s) == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_matches_coordinate_volume(self):
         rng = np.random.default_rng(16)
         for _ in range(40):

@@ -34,6 +34,10 @@ REGULAR_CHORD = math.sqrt(8 / 3)  # 1.632993161855452
 SQRT2 = math.sqrt(2)
 # unit square with diagonals: a planar 4-point configuration
 SQUARE_CHORDS = np.array([1, SQRT2, 1, 1, SQRT2, 1.0])
+# a needle: length 1, thickness 1e-3 in two directions.  Its centered Gram
+# eigenvalues are about 1, 7.5e-7 and 7.5e-7, so it spans 3 dimensions by
+# the rank cut although 288 V^2 / L^6 is only about 8e-12
+NEEDLE = np.array([[0, 0, 0], [1, 0, 0], [0, 1e-3, 0], [1, 0, 1e-3]], dtype=float)
 
 
 def pairwise(coords):
@@ -157,6 +161,13 @@ class TestCircumradius:
         t = Realization([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
         assert not circumradius(t).is_finite
 
+    def test_needle_is_solid(self):
+        # equal distances to the first two points give x = 1/2, to the first
+        # and third y = 5e-4, to the second and fourth z = 5e-4
+        sphere = circumradius(Realization(NEEDLE))
+        np.testing.assert_allclose(sphere.center, [0.5, 5e-4, 5e-4], rtol=0, atol=1e-12)
+        assert sphere.radius == pytest.approx(math.sqrt(0.25 + 5e-7), rel=1e-12)
+
     def test_center_is_equidistant(self):
         rng = np.random.default_rng(40)
         for _ in range(20):
@@ -276,6 +287,25 @@ class TestEmbedOnSphere:
             r0 = inverse_circumradius(0.0, g)
             small = inverse_circumradius(1e-6, g)
             assert abs(small - r0) <= 1e-3 * r0
+
+    def test_needle_geodesics(self):
+        # the needle's side lengths taken as geodesics; the radius is the
+        # root of the closed form in 50-digit arithmetic (mpmath)
+        g = GeodesicTetrahedron(geodesics_of(NEEDLE))
+        emb = embed_on_sphere(g)
+        assert emb.radius == pytest.approx(0.3185351243996336, rel=1e-11)
+        assert emb.radius == pytest.approx(reference_radius(g), rel=1e-9)
+        np.testing.assert_allclose(emb.geodesics, g.a, rtol=1e-9)
+
+    @pytest.mark.parametrize("thickness", [1e-2, 1e-3, 1e-4])
+    def test_needle_residual_matches_realized_circumradius(self, thickness):
+        pts = NEEDLE * [1.0, thickness / 1e-3, thickness / 1e-3]
+        g = GeodesicTetrahedron(geodesics_of(pts))
+        for f in (0.0, 0.3, 0.6, 0.9):
+            x = f * math.pi / g.a_max
+            assert inverse_circumradius(x, g) == pytest.approx(
+                reference_inverse_circumradius(x, g), rel=1e-9
+            )
 
     def test_radius_matches_scalar_reference_scan(self):
         rng = np.random.default_rng(44)
