@@ -10,6 +10,7 @@ from .errors import (
     AsymmetricMatrixError,
     DependentAnchorsError,
     DistanceGeometryError,
+    FloatRangeError,
     GeodesicTooLongError,
     InfeasibleError,
     MatrixValidationError,

@@ -71,6 +71,17 @@ class InfeasibleError(DistanceGeometryError):
         super().__init__(f"{message} (value {self.value:g})")
 
 
+class FloatRangeError(DistanceGeometryError, OverflowError):
+    """A result exists but its magnitude does not fit in a float."""
+
+    def __init__(self, quantity, log10_magnitude):
+        self.quantity = str(quantity)
+        self.log10_magnitude = float(log10_magnitude)
+        super().__init__(
+            f"{self.quantity} of about 10^{self.log10_magnitude:.1f} does not fit in a float"
+        )
+
+
 class SizeMismatchError(DistanceGeometryError, ValueError):
     def __init__(self, n_left, n_right):
         self.n_left = int(n_left)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import FloatRangeError, InfeasibleError
 from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances
 
 __all__ = [
@@ -122,6 +122,15 @@ def cayley_menger_determinant(s: SimplexSides) -> float:
     return float(np.linalg.det(_bordered(s.d.d**2)))
 
 
+def _in_units(value: float, unit: float, power: int, quantity: str) -> float:
+    """value * unit**power, one factor at a time, so that a partial product
+    overflows only when the result does; FloatRangeError names it then."""
+    out = math.prod([unit] * power, start=value)
+    if math.isinf(out):
+        raise FloatRangeError(quantity, math.log10(abs(value)) + power * math.log10(unit))
+    return out
+
+
 def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     """Volume of the (m-1)-simplex with the given side lengths.
 
@@ -129,18 +138,22 @@ def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     determinant taken in units of the longest side.  Within its rounding
     level, (m+1)^2 machine epsilons, the volume is exactly 0.0.  A negative
     squared volume gives 0.0 on a simplex that :func:`is_flat` calls flat
-    and otherwise raises InfeasibleError carrying it.
+    and otherwise raises InfeasibleError carrying it.  A volume (or squared
+    volume) too large for a float raises FloatRangeError.
     """
     tol = tol or DEFAULT_TOLERANCES
     n = s.m - 1
-    delta = float(_unit_determinant(s.d.d**2))
+    dmax = float(s.d.d.max())
+    d2 = (s.d.d / (dmax or 1.0)) ** 2
+    delta = float(_unit_determinant(d2))
     if abs(delta) <= (n + 2) ** 2 * np.finfo(float).eps:
         return 0.0
     v2 = ((-1.0) ** (n - 1) / (2.0**n * math.factorial(n) ** 2)) * delta
-    dmax = float(s.d.d.max())
-    if v2 < 0.0 and not _flat(s.d.d**2, tol):
-        raise InfeasibleError("side lengths are not realizable", v2 * dmax ** (2 * n))
-    return math.sqrt(max(v2, 0.0)) * dmax**n
+    if v2 < 0.0 and not _flat(d2, tol):
+        raise InfeasibleError(
+            "side lengths are not realizable", _in_units(v2, dmax, 2 * n, "squared volume")
+        )
+    return _in_units(math.sqrt(max(v2, 0.0)), dmax, n, "volume")
 
 
 def is_flat(s: SimplexSides, tol: Tolerances | None = None) -> bool:

@@ -8,8 +8,9 @@ x to the chord lengths the geodesics would subtend on a sphere of radius
 form from its side lengths (R^2 = -det(D^2) / (2 det(CM)), solved through
 the anchored Gram matrix); a fixed point of that map is the sphere that
 works.  The solver scans a grid of x in one stacked evaluation for the
-first sign change and bisects, treating inverse radii where the chord
-tetrahedron stops existing as a right-bracket shrink.
+first sign change and refines the bracket by repeating the same scan on it,
+treating inverse radii where the chord tetrahedron stops existing as a
+right-bracket shrink.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
 VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _ROWS, _COLS = np.array(VERTEX_PAIRS).T
 
-BISECTION_ITERATION_CAP = 200
 SCAN_POINTS = 64
 
 
@@ -254,18 +254,24 @@ def embed_on_sphere(
 
     Requires the six lengths to be realizable in 3-space and non-planar
     (NotApplicableError otherwise).  The inverse radius solves the fixed
-    point of :func:`inverse_circumradius` on (0, pi/a_max): a coarse scan
-    locates the first sign change of the residual, bisection refines it,
-    and inverse radii where the chord tetrahedron stops existing shrink the
-    right bracket.  Of several fixed points the smallest is returned, i.e.
-    the sphere closest to the flat configuration.
+    point of :func:`inverse_circumradius` on (0, pi/a_max): a scan of
+    SCAN_POINTS inverse radii locates the first sign change of the
+    residual, the same scan repeated inside the bracket refines it until no
+    float lies strictly between its ends, and inverse radii where the chord
+    tetrahedron stops existing shrink the right bracket.  Of several fixed
+    points the smallest is returned, i.e. the sphere closest to the flat
+    configuration.  Both realizations work in units of the longest geodesic,
+    so the answer scales with the input over the whole float range.
     """
     tol = tol or DEFAULT_TOLERANCES
+    a_max = g.a_max
+    unit = g.a / a_max
     try:
-        _, rank = _realize_chords(g.a, tol)
+        _, rank = _realize_chords(unit, tol)
     except NotRealizableError as err:
         raise NotApplicableError(
-            f"side lengths are not realizable in 3-space ({err})"
+            "side lengths are not realizable in 3-space (eigenvalue "
+            f"{err.eigenvalue:g} in units of the longest side squared)"
         ) from err
     if rank < 3:
         raise NotApplicableError(
@@ -275,7 +281,7 @@ def embed_on_sphere(
     # The residual phi(x) - x starts positive at x = 0: phi(0) is the inverse
     # circumradius of the input itself, finite because its rank is 3.  NaN
     # (no chord tetrahedron) compares as not positive.
-    x_hi = math.pi / g.a_max
+    x_hi = math.pi / a_max
     eps = 1e-9 * x_hi
     grid = np.linspace(eps, x_hi - eps, SCAN_POINTS)
     stops = np.flatnonzero(~(_inverse_circumradii(grid, g, tol) > grid))
@@ -284,23 +290,22 @@ def embed_on_sphere(
             "no sign change of the fixed-point residual inside (0, pi/a_max)"
         )
     first = int(stops[0])
-    lo = float(grid[first - 1]) if first else 0.0
-    hi = float(grid[first])
-
-    for _ in range(BISECTION_ITERATION_CAP):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        positive = _inverse_circumradii(np.array([mid]), g, tol)[0] > mid
-        lo, hi = (mid, hi) if positive else (lo, mid)
+    lo, hi = (float(grid[first - 1]) if first else 0.0), float(grid[first])
+    # Each pass has a grid point strictly inside (lo, hi) while a float lies
+    # there, and that point moves lo up or hi down, so the loop ends.
+    while np.nextafter(lo, hi) < hi:
+        grid = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
+        stops = np.flatnonzero(~(_inverse_circumradii(grid, g, tol) > grid))
+        first = int(stops[0]) if stops.size else grid.size
+        lo = float(grid[first - 1]) if first else lo
+        hi = float(grid[first]) if stops.size else hi
 
     y = lo if lo > 0.0 else hi
-    tetra, _ = _realize_chords(_chords(g.a, y), tol)
+    tetra, _ = _realize_chords(_chords(unit, y * a_max), tol)
     sphere = circumradius(tetra, tol)
     if not sphere.is_finite:
         raise NoConvergenceError("fixed-point refinement landed on a planar tetrahedron")
-    radius = sphere.radius
     points = tetra.coords - sphere.center
-    points = points * (radius / np.linalg.norm(points, axis=1))[:, None]
-    geodesics = _realized_geodesics(points, radius)
-    return SphericalEmbedding(radius=radius, points=points, geodesics=geodesics)
+    points = points * (sphere.radius / np.linalg.norm(points, axis=1))[:, None]
+    geodesics = _realized_geodesics(points, sphere.radius)
+    return SphericalEmbedding(sphere.radius * a_max, points * a_max, geodesics * a_max)

@@ -19,6 +19,11 @@ def run_cli(*args):
     )
 
 
+def scaled_fixture(name, k):
+    m = np.loadtxt(FIXTURES / name) * k
+    return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in m)
+
+
 class TestCheckEdm:
     def test_triangle_345(self):
         r = run_cli("check-edm", FIXTURES / "triangle345.txt")
@@ -121,6 +126,15 @@ class TestVolumeAndHeron:
         assert r.returncode == 0
         assert float(r.stdout) == 0.0
 
+    def test_volume_beyond_float_range_is_an_error(self, tmp_path):
+        f = tmp_path / "triangle345_1e160.txt"
+        f.write_text(scaled_fixture("triangle345.txt", 1e160))
+        r = run_cli("volume", f)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert "Traceback" not in r.stderr
+        assert "nan" not in r.stdout and "inf" not in r.stdout
+
 
 class TestTrilaterate:
     DISTS = "1.7320508075688772,1.4142135623730951,1.4142135623730951,1.4142135623730951"
@@ -163,6 +177,15 @@ class TestSphereEmbed:
         radius = float(lines[0].split("=")[1])
         assert radius == pytest.approx(1.0, abs=1e-6)
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("k", [1e-170, 1e160])
+    def test_radius_scales_at_extreme_units(self, tmp_path, k):
+        f = tmp_path / "regular_scaled.txt"
+        f.write_text(scaled_fixture("regular_geodesics.txt", k))
+        r = run_cli("sphere-embed", f)
+        assert r.returncode == 0
+        radius = float(r.stdout.splitlines()[0].split("=")[1])
+        assert radius == pytest.approx(k, rel=1e-6)
 
     def test_planar_not_applicable(self, tmp_path):
         s2 = repr(math.sqrt(2))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distgeo.errors import InfeasibleError
+from distgeo.errors import FloatRangeError, InfeasibleError
 from distgeo.matrices import DistanceMatrix, Realization, edm_from_realization
 from distgeo.simplex import (
     SimplexSides,
@@ -199,11 +199,18 @@ class TestSimplexVolume:
         assert volume == pytest.approx(area, rel=1e-4, abs=0)
         assert abs(heron_area(t) - volume) <= 1e-9 * max(scale**2, area)
 
-    @pytest.mark.parametrize("scale", [1e-60, 1e60])
+    # at 1.1e103 the cube of the side overflows but the volume fits
+    @pytest.mark.parametrize("scale", [1e-60, 1e60, 1.1e103])
     def test_regular_tetrahedron_at_extreme_scales(self, scale):
         s = SimplexSides(DistanceMatrix(scale * (np.ones((4, 4)) - np.eye(4))))
-        want = REGULAR_TETRA_VOLUME * scale**3
+        want = REGULAR_TETRA_VOLUME * scale * scale * scale
         assert simplex_volume(s) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_volume_beyond_float_range(self):
+        s = SimplexSides(DistanceMatrix(1e104 * (np.ones((4, 4)) - np.eye(4))))
+        with pytest.raises(FloatRangeError) as err:
+            simplex_volume(s)
+        assert err.value.log10_magnitude == pytest.approx(312 + math.log10(REGULAR_TETRA_VOLUME))
 
     def test_matches_coordinate_volume(self):
         rng = np.random.default_rng(16)

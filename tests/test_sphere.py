@@ -17,8 +17,8 @@ from distgeo.errors import (
     NotRealizableError,
 )
 from distgeo.matrices import Realization
+from distgeo import sphere
 from distgeo.sphere import (
-    BISECTION_ITERATION_CAP,
     SCAN_POINTS,
     VERTEX_PAIRS,
     GeodesicTetrahedron,
@@ -76,25 +76,27 @@ def reference_inverse_circumradius(x, g):
 
 
 def reference_radius(g):
-    """embed_on_sphere's radius, scanning and bisecting one scalar residual at a time."""
+    """embed_on_sphere's radius by the same scans, one scalar residual at a time."""
 
-    def positive(x):
-        value = reference_inverse_circumradius(x, g)
-        return value is not None and value > x
+    def first_stop(grid):
+        for i, x in enumerate(grid):
+            value = reference_inverse_circumradius(float(x), g)
+            if value is None or not value > x:
+                return i
+        return None
 
     x_hi = math.pi / g.a_max
     eps = 1e-9 * x_hi
-    lo = 0.0
-    for x in np.linspace(eps, x_hi - eps, SCAN_POINTS):
-        hi = float(x)
-        if not positive(hi):
-            break
-        lo = hi
-    for _ in range(BISECTION_ITERATION_CAP):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+    grid = np.linspace(eps, x_hi - eps, SCAN_POINTS)
+    first = first_stop(grid)
+    lo, hi = (float(grid[first - 1]) if first else 0.0), float(grid[first])
+    while np.nextafter(lo, hi) < hi:
+        grid = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
+        first = first_stop(grid)
+        if first is None:
+            lo = float(grid[-1])
+        else:
+            lo, hi = (float(grid[first - 1]) if first else lo), float(grid[first])
     y = lo if lo > 0.0 else hi
     return circumradius(tetrahedron_from_chords([chord_length(a, y) for a in g.a])).radius
 
@@ -319,3 +321,40 @@ class TestEmbedOnSphere:
             solved += 1
             assert radius == pytest.approx(reference_radius(g), rel=1e-9)
         assert solved >= 15
+
+
+class TestRefinementWork:
+    def test_few_stacked_residual_calls_per_query(self, monkeypatch):
+        # about ten scans close the bracket to adjacent floats; one residual
+        # at a time, bisection takes about fifty
+        calls = []
+        residual = sphere._inverse_circumradii
+
+        def counting(xs, g, tol):
+            calls.append(xs.size)
+            return residual(xs, g, tol)
+
+        monkeypatch.setattr(sphere, "_inverse_circumradii", counting)
+        rng = np.random.default_rng(45)
+        solved = 0
+        for _ in range(50):
+            del calls[:]
+            try:
+                embed_on_sphere(GeodesicTetrahedron(random_cap_geodesics(rng)))
+            except NotApplicableError:
+                continue
+            solved += 1
+            assert len(calls) <= 12
+        assert solved >= 15
+
+    def test_bracket_left_at_zero_still_terminates(self, monkeypatch):
+        # every grid point of the first scan stops, so the bracket is
+        # (0, first grid point); the synthetic residual is positive only
+        # below x0 and the refinement must close in on x0 from there
+        g = GeodesicTetrahedron(np.full(6, REGULAR_GEODESIC))
+        x0 = 1e-12 * math.pi / g.a_max
+        monkeypatch.setattr(
+            sphere, "_inverse_circumradii", lambda xs, g, tol: np.where(xs < x0, np.inf, np.nan)
+        )
+        emb = embed_on_sphere(g)
+        assert math.isfinite(emb.radius)
