@@ -21,7 +21,6 @@ import numpy as np
 
 from .embedding import TrilaterationProblem, classical_mds, classify_edm, trilaterate
 from .errors import (
-    DependentAnchorsError,
     DistanceGeometryError,
     InfeasibleError,
     NoConvergenceError,
@@ -141,10 +140,7 @@ def cmd_volume(args) -> int:
 
 
 def cmd_heron(args) -> int:
-    try:
-        triangle = TriangleSides(args.a, args.b, args.c)
-    except ValueError as err:
-        raise CliInputError(str(err)) from err
+    triangle = TriangleSides(args.a, args.b, args.c)
     try:
         area = heron_area(triangle)
     except InfeasibleError as err:
@@ -160,17 +156,12 @@ def cmd_trilaterate(args) -> int:
         dists = np.array([float(t) for t in args.dists.split(",") if t.strip()])
     except ValueError:
         raise CliInputError(f"--dists: not a comma-separated list of numbers: {args.dists!r}") from None
-    try:
-        problem = TrilaterationProblem(Realization(anchors), dists)
-    except ValueError as err:
-        raise CliInputError(str(err)) from err
+    problem = TrilaterationProblem(Realization(anchors), dists)
     try:
         point = trilaterate(problem, _tolerances(args))
     except NoSolutionError as err:
         print(f"NO-SOLUTION residual={fmt12(err.residual)}")
         return 1
-    except DependentAnchorsError as err:
-        raise CliInputError(str(err)) from err
     _print_coords(point.coords, sys.stdout)
     return 0
 
@@ -182,10 +173,7 @@ def cmd_sphere_embed(args) -> int:
             f"{args.matrix}: spherical embedding needs a 4x4 matrix, got {m.shape[0]}x{m.shape[1]}"
         )
     d = validate_distance_matrix(m, _tolerances(args))
-    try:
-        geodesics = GeodesicTetrahedron.from_distance_matrix(d)
-    except ValueError as err:
-        raise CliInputError(str(err)) from err
+    geodesics = GeodesicTetrahedron.from_distance_matrix(d)
     try:
         embedding = embed_on_sphere(geodesics, _tolerances(args))
     except NotApplicableError as err:
@@ -231,19 +219,12 @@ def cmd_menger(args) -> int:
 
 
 def cmd_signs(args) -> int:
-    try:
-        count = cyclic_sign_changes(args.entries)
-    except ValueError as err:
-        raise CliInputError(str(err)) from err
-    print(count)
+    print(cyclic_sign_changes(args.entries))
     return 0
 
 
 def cmd_euler(args) -> int:
-    try:
-        counts = PolyhedralCounts(args.V, args.E, args.F)
-    except ValueError as err:
-        raise CliInputError(str(err)) from err
+    counts = PolyhedralCounts(args.V, args.E, args.F)
     chi = counts.vertices + counts.faces - counts.edges
     if euler_characteristic_holds(counts):
         print(f"EULER-OK chi={chi}")

@@ -11,6 +11,7 @@ bordered determinants on all (n+2)- and (n+3)-point subsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -45,8 +46,9 @@ __all__ = [
 CONGRUENCE_SEARCH_CAP = 10
 MENGER_SUBSET_CAP = 12
 
-# Subset stacks start small so an early witness costs little, then grow 4x
-# per chunk up to a cap that bounds the memory of one stack.
+# The witness search stacks its subsets in chunks, for its early exit: they
+# start small so an early witness costs little, then grow 4x per chunk up to
+# a cap that bounds the memory of one stack.
 _FIRST_CHUNK = 16
 _CHUNK_CAP = 256
 
@@ -218,19 +220,24 @@ def find_congruence(
     return None
 
 
-def _subset_chunks(d2: np.ndarray, k: int):
-    """Every size-k subset of the points in lexicographic order, chunk by chunk.
+def _gather(d2: np.ndarray, subsets, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, stack)`` for an iterable of size-k subsets: the (S, k) index
+    array and the (S, k, k) stack of squared sub-matrices gathered from
+    ``d2``, with no re-validation."""
+    rows = np.array(list(subsets), dtype=np.intp).reshape(-1, k)
+    return rows, d2[rows[:, :, None], rows[:, None, :]]
 
-    Yields ``(rows, stack)``: a (S, k) index array and the (S, k, k) stack of
-    squared sub-matrices gathered from ``d2``, with no re-validation.
-    """
+
+def _subset_chunks(d2: np.ndarray, k: int):
+    """Every size-k subset of the points in lexicographic order, chunk by
+    chunk, as :func:`_gather` gives them."""
     subsets = combinations(range(d2.shape[0]), k)
     size = _FIRST_CHUNK
     while True:
-        rows = np.array(list(islice(subsets, size)), dtype=np.intp).reshape(-1, k)
+        rows, stack = _gather(d2, islice(subsets, size), k)
         if not len(rows):
             return
-        yield rows, d2[rows[:, :, None], rows[:, None, :]]
+        yield rows, stack
         size = min(4 * size, _CHUNK_CAP)
 
 
@@ -277,8 +284,9 @@ def verify_menger_criterion(
     vanishing bordered determinant.  The determinant test uses the
     unit-invariant flatness threshold.  Both quantifier readings of the
     third condition are reported: over all (n+3)-subsets, and only over
-    those containing the independent anchor subset.  Subsets of one size
-    are tested as stacked arrays in lexicographic chunks.
+    those containing the independent anchor subset, read off the full
+    scan.  All subsets of one size are tested as one stacked array, in
+    lexicographic order.
     """
     tol = tol or DEFAULT_TOLERANCES
     if dim < 0:
@@ -289,40 +297,33 @@ def verify_menger_criterion(
 
     d2 = s.d.d**2
 
+    def subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
+        return _gather(d2, combinations(range(n), k), k)
+
+    def failures(rows: np.ndarray, failing: np.ndarray) -> tuple:
+        return tuple(map(tuple, rows[failing].tolist()))
+
     # The anchor is the first base subset realizing dimension exactly dim.
     # When n < dim+1 the base subsets have rank below dim, so none exists.
     base_size = min(dim + 1, n)
-    base_failures = []
-    base_checked = 0
-    anchor = None
-    for rows, stack in _subset_chunks(d2, base_size):
-        rank, is_edm = _classify_stack(stack, tol)
-        ok = is_edm & (rank <= dim)
-        base_checked += len(rows)
-        base_failures.extend(map(tuple, rows[~ok].tolist()))
-        exact = np.flatnonzero(ok & (rank == dim))
-        if anchor is None and exact.size:
-            anchor = tuple(rows[exact[0]].tolist())
+    base_rows, stack = subsets(base_size)
+    rank, is_edm = _classify_stack(stack, tol)
+    ok = is_edm & (rank <= dim)
+    base_failures = failures(base_rows, ~ok)
+    exact = np.flatnonzero(ok & (rank == dim))
+    anchor = tuple(base_rows[exact[0]].tolist()) if exact.size else None
 
-    def flat_scan(size: int, anchor: tuple | None):
-        """Checked count and failures over all size-subsets, then the same
-        over those containing the anchor, masked out of the one scan."""
-        checked = anchored = 0
-        failures, anchored_failures = [], []
-        for rows, stack in _subset_chunks(d2, size):
-            failing = ~_flat(stack, tol)
-            checked += len(rows)
-            failures.extend(map(tuple, rows[failing].tolist()))
-            if anchor is not None:
-                # Subset entries are distinct, so a row holds all of the
-                # anchor exactly when len(anchor) of its entries are in it.
-                has_anchor = np.isin(rows, anchor).sum(axis=1) == len(anchor)
-                anchored += int(has_anchor.sum())
-                anchored_failures.extend(map(tuple, rows[failing & has_anchor].tolist()))
-        return checked, tuple(failures), anchored, tuple(anchored_failures)
-
-    flat2_checked, flat2_fail, _, _ = flat_scan(dim + 2, None)
-    flat3_checked, flat3_fail, flat3a_checked, flat3a_fail = flat_scan(dim + 3, anchor)
+    flat2_rows, stack = subsets(dim + 2)
+    flat2_fail = failures(flat2_rows, ~_flat(stack, tol))
+    flat3_rows, stack = subsets(dim + 3)
+    flat3_fail = failures(flat3_rows, ~_flat(stack, tol))
+    # The anchored reading: the (dim+3)-subsets made of the anchor's dim+1
+    # points and 2 of the other n-dim-1.
+    if anchor is None:
+        flat3a_checked, flat3a_fail = 0, ()
+    else:
+        flat3a_checked = math.comb(n - dim - 1, 2)
+        flat3a_fail = tuple(f for f in flat3_fail if set(anchor) <= set(f))
 
     embeddable = not base_failures and not flat2_fail and not flat3_fail
     return MengerReport(
@@ -330,11 +331,11 @@ def verify_menger_criterion(
         embeddable=embeddable,
         anchor_subset=anchor,
         base_size=base_size,
-        base_checked=base_checked,
-        base_failures=tuple(base_failures),
-        flat2_checked=flat2_checked,
+        base_checked=len(base_rows),
+        base_failures=base_failures,
+        flat2_checked=len(flat2_rows),
         flat2_failures=flat2_fail,
-        flat3_checked=flat3_checked,
+        flat3_checked=len(flat3_rows),
         flat3_failures=flat3_fail,
         flat3_anchored_checked=flat3a_checked,
         flat3_anchored_failures=flat3a_fail,

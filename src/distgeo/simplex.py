@@ -65,31 +65,44 @@ class SimplexSides:
         return cls(DistanceMatrix(m))
 
 
+def _unit_triangle(t: TriangleSides) -> tuple[float, float, float, float, float]:
+    """The longest side, and in units of it the semiperimeter s and s-a,
+    s-b, s-c: products of them neither overflow nor underflow."""
+    unit = max(t.a, t.b, t.c)
+    a, b, c = t.a / unit, t.b / unit, t.c / unit
+    s = 0.5 * (a + b + c)
+    return unit, s, s - a, s - b, s - c
+
+
 def heron_area(t: TriangleSides) -> float:
     """Triangle area sqrt(s (s-a) (s-b) (s-c)).
 
-    Raises InfeasibleError carrying the negative radicand when no triangle
-    has these side lengths.
+    Computed in units of the longest side and scaled back.  Raises
+    InfeasibleError carrying the negative radicand when no triangle has
+    these side lengths, and FloatRangeError when the area (or radicand) is
+    too large for a float.
     """
-    s = t.s
-    radicand = s * (s - t.a) * (s - t.b) * (s - t.c)
+    unit, s, x, y, z = _unit_triangle(t)
+    radicand = s * x * y * z
     if radicand < 0.0:
-        raise InfeasibleError("no triangle with these side lengths", radicand)
-    return math.sqrt(radicand)
+        raise InfeasibleError(
+            "no triangle with these side lengths", _in_units(radicand, unit, 4, "radicand")
+        )
+    return _in_units(math.sqrt(radicand), unit, 2, "area")
 
 
 def inradius(t: TriangleSides) -> float:
     """Radius of the inscribed circle: sqrt(xyz / (x+y+z)) with x,y,z = s-a, s-b, s-c.
 
-    Equals heron_area(t) / s.  Raises InfeasibleError when any of x, y, z is
-    negative.
+    Equals heron_area(t) / s, computed in units of the longest side.
+    Raises InfeasibleError when any of x, y, z is negative.
     """
-    s = t.s
-    x, y, z = s - t.a, s - t.b, s - t.c
+    unit, _, x, y, z = _unit_triangle(t)
     smallest = min(x, y, z)
     if smallest < 0.0:
-        raise InfeasibleError("no triangle with these side lengths", smallest)
-    return math.sqrt(max(x * y * z, 0.0) / (x + y + z))
+        raise InfeasibleError("no triangle with these side lengths", smallest * unit)
+    # At most the longest side, so scaling back cannot overflow.
+    return math.sqrt(max(x * y * z, 0.0) / (x + y + z)) * unit
 
 
 def _bordered(d2: np.ndarray) -> np.ndarray:

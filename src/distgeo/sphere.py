@@ -7,10 +7,10 @@ x to the chord lengths the geodesics would subtend on a sphere of radius
 1/x and takes the inverse circumradius of the chord tetrahedron, in closed
 form from its side lengths (R^2 = -det(D^2) / (2 det(CM)), solved through
 the anchored Gram matrix); a fixed point of that map is the sphere that
-works.  The solver scans a grid of x in one stacked evaluation for the
-first sign change and refines the bracket by repeating the same scan on it,
-treating inverse radii where the chord tetrahedron stops existing as a
-right-bracket shrink.
+works.  The solver has one loop: it scans a grid of x inside the bracket,
+starting from (0, pi/a_max), in one stacked evaluation and narrows the
+bracket to the first sign change, treating inverse radii where the chord
+tetrahedron stops existing as a right-bracket shrink.
 """
 
 from __future__ import annotations
@@ -254,14 +254,16 @@ def embed_on_sphere(
 
     Requires the six lengths to be realizable in 3-space and non-planar
     (NotApplicableError otherwise).  The inverse radius solves the fixed
-    point of :func:`inverse_circumradius` on (0, pi/a_max): a scan of
-    SCAN_POINTS inverse radii locates the first sign change of the
-    residual, the same scan repeated inside the bracket refines it until no
-    float lies strictly between its ends, and inverse radii where the chord
-    tetrahedron stops existing shrink the right bracket.  Of several fixed
-    points the smallest is returned, i.e. the sphere closest to the flat
-    configuration.  Both realizations work in units of the longest geodesic,
-    so the answer scales with the input over the whole float range.
+    point of :func:`inverse_circumradius` on (0, pi/a_max).  One loop,
+    starting from the bracket (0, pi/a_max), scans SCAN_POINTS inverse radii
+    strictly inside the bracket and narrows it to the first sign change of
+    the residual until no float lies strictly between its ends; inverse
+    radii where the chord tetrahedron stops existing shrink the right
+    bracket, and a right end still at pi/a_max raises NoConvergenceError.
+    Of several fixed points the smallest is returned, i.e. the sphere
+    closest to the flat configuration.  Both realizations work in units of
+    the longest geodesic, so the answer scales with the input over the
+    whole float range.
     """
     tol = tol or DEFAULT_TOLERANCES
     a_max = g.a_max
@@ -281,24 +283,20 @@ def embed_on_sphere(
     # The residual phi(x) - x starts positive at x = 0: phi(0) is the inverse
     # circumradius of the input itself, finite because its rank is 3.  NaN
     # (no chord tetrahedron) compares as not positive.
-    x_hi = math.pi / a_max
-    eps = 1e-9 * x_hi
-    grid = np.linspace(eps, x_hi - eps, SCAN_POINTS)
-    stops = np.flatnonzero(~(_inverse_circumradii(grid, g, tol) > grid))
-    if not stops.size:
-        raise NoConvergenceError(
-            "no sign change of the fixed-point residual inside (0, pi/a_max)"
-        )
-    first = int(stops[0])
-    lo, hi = (float(grid[first - 1]) if first else 0.0), float(grid[first])
     # Each pass has a grid point strictly inside (lo, hi) while a float lies
     # there, and that point moves lo up or hi down, so the loop ends.
+    x_hi = math.pi / a_max
+    lo, hi = 0.0, x_hi
     while np.nextafter(lo, hi) < hi:
         grid = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
         stops = np.flatnonzero(~(_inverse_circumradii(grid, g, tol) > grid))
         first = int(stops[0]) if stops.size else grid.size
         lo = float(grid[first - 1]) if first else lo
         hi = float(grid[first]) if stops.size else hi
+    if hi == x_hi:
+        raise NoConvergenceError(
+            "no sign change of the fixed-point residual inside (0, pi/a_max)"
+        )
 
     y = lo if lo > 0.0 else hi
     tetra, _ = _realize_chords(_chords(unit, y * a_max), tol)

@@ -105,6 +105,19 @@ class TestVolumeAndHeron:
     def test_heron_rejects_nonpositive(self):
         r = run_cli("heron", 0, 1, 1)
         assert r.returncode == 2
+        assert r.stderr == "error: side a must be a positive real, got 0.0\n"
+
+    @pytest.mark.parametrize("k", [1e-80, 1e150])
+    def test_heron_at_extreme_units(self, k):
+        r = run_cli("heron", 3 * k, 4 * k, 5 * k)
+        assert r.returncode == 0
+        assert float(r.stdout) == pytest.approx(6 * k * k, rel=1e-11, abs=0.0)
+
+    def test_heron_beyond_float_range_is_an_error(self):
+        r = run_cli("heron", 3e160, 4e160, 5e160)
+        assert r.returncode == 2
+        assert r.stderr == "error: area of about 10^320.8 does not fit in a float\n"
+        assert "inf" not in r.stdout
 
     def test_volume_triangle(self):
         r = run_cli("volume", FIXTURES / "triangle345.txt")
@@ -159,13 +172,14 @@ class TestTrilaterate:
             "trilaterate", "--anchors", FIXTURES / "anchors3d.txt", "--dists", "1,2"
         )
         assert r.returncode == 2
+        assert r.stderr == "error: need one distance per anchor: 4 anchors, 2 distances\n"
 
     def test_dependent_anchors(self, tmp_path):
         f = tmp_path / "line.txt"
         f.write_text("0 0\n1 0\n2 0\n")
         r = run_cli("trilaterate", "--anchors", f, "--dists", "1,1,1")
         assert r.returncode == 2
-        assert "dependent" in r.stderr.lower()
+        assert r.stderr == "error: anchors are affinely dependent\n"
 
 
 class TestSphereEmbed:
@@ -196,8 +210,21 @@ class TestSphereEmbed:
         assert r.stdout.startswith("NOT-APPLICABLE")
 
     def test_wrong_size(self):
-        r = run_cli("sphere-embed", FIXTURES / "triangle345.txt")
+        path = FIXTURES / "triangle345.txt"
+        r = run_cli("sphere-embed", path)
         assert r.returncode == 2
+        assert r.stderr == f"error: {path}: spherical embedding needs a 4x4 matrix, got 3x3\n"
+
+    def test_no_convergence(self, monkeypatch, capsys):
+        from distgeo import cli, sphere
+
+        # a residual that never changes sign on (0, pi/a_max)
+        monkeypatch.setattr(sphere, "_inverse_circumradii", lambda xs, g, tol: 2 * xs + 1)
+        code = cli.main(["sphere-embed", str(FIXTURES / "regular_geodesics.txt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.startswith("NO-CONVERGENCE ")
+        assert captured.err == ""
 
 
 class TestMenger:
@@ -230,13 +257,21 @@ class TestSignsAndEuler:
         assert run_cli("signs", 1, 1, 1).stdout == "0\n"
 
     def test_signs_rejects_bad_entry(self):
-        assert run_cli("signs", 1, 2).returncode == 2
+        r = run_cli("signs", 1, 2)
+        assert r.returncode == 2
+        assert r.stderr == "error: entries must be -1, 0 or +1, got (1, 2)\n"
 
     def test_euler(self):
         ok = run_cli("euler", 8, 12, 6)
         assert ok.returncode == 0 and ok.stdout == "EULER-OK chi=2\n"
         bad = run_cli("euler", 5, 6, 4)
         assert bad.returncode == 1 and bad.stdout == "EULER-FAIL chi=3\n"
+
+    def test_euler_rejects_negative_count(self):
+        r = run_cli("euler", -1, 2, 3)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: vertices must be a nonnegative integer, got -1\n"
 
 
 class TestLibraryErrors:

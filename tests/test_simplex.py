@@ -72,6 +72,11 @@ class TestInradius:
         with pytest.raises(InfeasibleError):
             inradius(TriangleSides(1, 1, 3))
 
+    @pytest.mark.parametrize("k", [1e-300, 1e-160, 1e160, 1e300])
+    def test_scales_linearly_at_extreme_units(self, k):
+        r = inradius(TriangleSides(3 * k, 4 * k, 5 * k))
+        assert r == pytest.approx(k, rel=1e-12, abs=0.0)
+
     def test_times_semiperimeter_equals_area(self):
         rng = np.random.default_rng(10)
         for _ in range(200):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from distgeo.errors import (
     GeodesicTooLongError,
+    NoConvergenceError,
     NotApplicableError,
     NotRealizableError,
 )
@@ -76,7 +77,8 @@ def reference_inverse_circumradius(x, g):
 
 
 def reference_radius(g):
-    """embed_on_sphere's radius by the same scans, one scalar residual at a time."""
+    """embed_on_sphere's radius by a coarse scan and a 64-section of its
+    bracket, one scalar residual at a time."""
 
     def first_stop(grid):
         for i, x in enumerate(grid):
@@ -346,6 +348,20 @@ class TestRefinementWork:
             solved += 1
             assert len(calls) <= 12
         assert solved >= 15
+
+    def test_no_sign_change_raises_no_convergence(self, monkeypatch):
+        # the residual stays positive on all of (0, pi/a_max), so the
+        # bracket closes on its right end without a sign change
+        calls = []
+
+        def positive(xs, g, tol):
+            calls.append(xs.size)
+            return 2 * xs + 1
+
+        monkeypatch.setattr(sphere, "_inverse_circumradii", positive)
+        with pytest.raises(NoConvergenceError):
+            embed_on_sphere(GeodesicTetrahedron(np.full(6, REGULAR_GEODESIC)))
+        assert 0 < len(calls) <= 12
 
     def test_bracket_left_at_zero_still_terminates(self, monkeypatch):
         # every grid point of the first scan stops, so the bracket is

@@ -1,8 +1,8 @@
 """The batched subset engine against a subset-by-subset reference.
 
-``verify_menger_criterion`` and the witness search in
-``congruently_embeddable`` test every small subset as one stacked array per
-lexicographic chunk.  The reference here restricts the space to each subset
+``verify_menger_criterion`` tests all subsets of one size as one stacked
+array, and the witness search in ``congruently_embeddable`` tests them as
+one stacked array per lexicographic chunk.  The reference here restricts the space to each subset
 and asks ``classify_edm`` and ``is_flat`` one subset at a time; both must
 give the same report, field for field, on random spaces of every kind and
 unit of measure.  Relabelling the points must not change any verdict or
