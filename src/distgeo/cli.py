@@ -27,7 +27,8 @@ from .errors import (
     NoSolutionError,
     NotApplicableError,
 )
-from .matrices import DEFAULT_TOLERANCES, Realization, Tolerances, validate_distance_matrix
+from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Realization, Tolerances
+from .matrices import _in_units, _unit_squares, validate_distance_matrix
 from .rigidity import PolyhedralCounts, cyclic_sign_changes, euler_characteristic_holds
 from .semimetric import (
     MENGER_SUBSET_CAP,
@@ -107,11 +108,14 @@ def _print_coords(coords: np.ndarray, stream) -> None:
 
 def cmd_check_edm(args) -> int:
     d = validate_distance_matrix(read_square_matrix(args.matrix), _tolerances(args))
-    verdict = classify_edm(d, _tolerances(args))
+    # In units of the largest distance, so a witness past the float range is an error.
+    _, unit = _unit_squares(d.d)
+    verdict = classify_edm(DistanceMatrix(d.d / unit), _tolerances(args))
     if verdict.is_edm:
         print(f"EDM r={verdict.dim}")
         return 0
-    print(f"NOT-EDM lambda_min={fmt12(verdict.witness_eigenvalue)}")
+    witness = _in_units(verdict.witness_eigenvalue, unit, 2, "eigenvalue")
+    print(f"NOT-EDM lambda_min={fmt12(witness)}")
     return 1
 
 

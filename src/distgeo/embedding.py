@@ -18,8 +18,10 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
+    _center,
     _factor_gram,
-    double_center,
+    _in_units,
+    _unit_squares,
     edm_from_realization,
 )
 
@@ -40,7 +42,9 @@ class EdmClassification:
     ``dim`` is the minimal embedding dimension when ``is_edm`` holds.
     ``witness_eigenvalue`` is the smallest eigenvalue of the centered Gram
     matrix; it is significantly negative exactly when the verdict is
-    negative.
+    negative.  It is computed in units of the largest distance and scaled
+    back, so past the float range it saturates to -inf or 0.0 while the
+    verdict stays exact.
     """
 
     is_edm: bool
@@ -91,8 +95,9 @@ def classify_edm(D: DistanceMatrix, tol: Tolerances | None = None) -> EdmClassif
     D is an EDM exactly when the double-centered Gram matrix is PSD; the
     minimal embedding dimension is that matrix's rank.
     """
-    _, verdict, _ = _factor_gram(double_center(D), tol or DEFAULT_TOLERANCES)
-    return EdmClassification(verdict.is_psd, verdict.rank, verdict.min_eigenvalue)
+    d2, unit = _unit_squares(D.d)
+    _, verdict, _ = _factor_gram(_center(d2), tol or DEFAULT_TOLERANCES)
+    return EdmClassification(verdict.is_psd, verdict.rank, verdict.min_eigenvalue * unit * unit)
 
 
 def _max_relative_distance_error(realized: np.ndarray, target: np.ndarray) -> float:
@@ -120,18 +125,20 @@ def classical_mds(
     radius, scaled by the square roots of those eigenvalues.  ``dim_cap``
     truncates to the leading dimensions.  Approximate input is the intended
     use; the returned spectrum includes any negative eigenvalues so callers
-    can judge how non-Euclidean the input was.
+    can judge how non-Euclidean the input was.  Computed in units of the
+    largest distance; an eigenvalue too large or too small for a float
+    raises FloatRangeError.
     """
-    w, _, coords = _factor_gram(double_center(D), tol or DEFAULT_TOLERANCES)
+    d2, unit = _unit_squares(D.d)
+    w, _, coords = _factor_gram(_center(d2), tol or DEFAULT_TOLERANCES)
     if dim_cap is not None:
         if dim_cap < 0:
             raise ValueError("dim_cap must be nonnegative")
         coords = coords[:, :dim_cap]
-    h = coords.shape[1]
-    realization = Realization(coords)
-    realized = edm_from_realization(realization)
-    residual = _max_relative_distance_error(realized.d, D.d)
-    return MdsResult(realization, w, h, residual)
+    realized = edm_from_realization(Realization(coords))
+    residual = _max_relative_distance_error(realized.d, D.d / unit)
+    w = _in_units(w, unit, 2, "eigenvalue")
+    return MdsResult(Realization(coords * unit), w, coords.shape[1], residual)
 
 
 def trilaterate(p: TrilaterationProblem, tol: Tolerances | None = None) -> Realization:
@@ -155,12 +162,11 @@ def trilaterate(p: TrilaterationProblem, tol: Tolerances | None = None) -> Reali
         raise DependentAnchorsError(
             f"need at least {k + 1} anchors in {k} dimensions, got {m}"
         )
+    # Solved in units of the largest coordinate or distance, and scaled back.
+    sq, unit = _unit_squares(np.abs(np.column_stack([anchors, p.dists])))
+    anchors, dists = anchors / unit, p.dists / unit
     a = 2.0 * (anchors[1:] - anchors[0])
-    b = (
-        (anchors[1:] ** 2).sum(axis=1)
-        - (anchors[0] ** 2).sum()
-        - (p.dists[1:] ** 2 - p.dists[0] ** 2)
-    )
+    b = sq[1:, :k].sum(axis=1) - sq[0, :k].sum() - (sq[1:, k] - sq[0, k])
     solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < k:
         raise DependentAnchorsError("anchors are affinely dependent")
@@ -168,8 +174,8 @@ def trilaterate(p: TrilaterationProblem, tol: Tolerances | None = None) -> Reali
     realized = np.linalg.norm(anchors - solution, axis=1)
     # The problem's own length scale; the anchor extent keeps it positive
     # when every measured distance is zero.
-    scale = max(float(p.dists.max()), float(np.ptp(anchors, axis=0).max()))
-    residual = float(np.max(np.abs(realized - p.dists))) / scale
+    scale = max(float(dists.max()), float(np.ptp(anchors, axis=0).max()))
+    residual = float(np.max(np.abs(realized - dists))) / scale
     if residual > tol.dist_tol:
         raise NoSolutionError(residual)
-    return Realization(solution[None, :])
+    return Realization(solution[None, :] * unit)

@@ -12,12 +12,14 @@ and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     AsymmetricMatrixError,
+    FloatRangeError,
     NegativeEntryError,
     NonSquareError,
     NonzeroDiagonalError,
@@ -247,6 +249,34 @@ def validate_distance_matrix(m, tol: Tolerances | None = None) -> DistanceMatrix
     return DistanceMatrix(out)
 
 
+def _unit_squares(d: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(d2, unit)``: the entries of ``d`` squared in units of the largest
+    power of two not above the largest entry, and that unit.
+
+    The toolkit's one way to square lengths (J. L. Blue's scaled norm, ACM
+    TOMS 4, 1978): the scaling is exact, so at ordinary scales results are
+    bit for bit the raw squares', and no square leaves the float range.
+    """
+    unit = math.ldexp(1.0, math.frexp(float(np.max(d, initial=0.0)))[1] - 1)
+    return (d / unit) ** 2, unit
+
+
+def _in_units(value, unit: float, power: int, quantity: str):
+    """value * unit**power, elementwise and one factor at a time, so that a
+    partial product leaves the float range only when the result does.
+
+    Raises FloatRangeError, naming the quantity and the largest magnitude
+    lost, when a result overflows or a nonzero value flushes to zero.
+    """
+    with np.errstate(over="ignore"):
+        out = math.prod([unit] * power, start=value)
+    lost = np.isinf(out) | ((out == 0.0) & (value != 0.0))
+    if np.any(lost):
+        worst = float(np.abs(np.asarray(value)[lost]).max())
+        raise FloatRangeError(quantity, math.log10(worst) + power * math.log10(unit))
+    return out
+
+
 def _center(d2: np.ndarray) -> np.ndarray:
     """-1/2 J d2 J over the last two axes, symmetrized, with J = I - (1/n) 11^T.
 
@@ -262,9 +292,12 @@ def double_center(D: DistanceMatrix) -> GramMatrix:
     """Gram matrix of the centered configuration: G = -1/2 J D^2 J.
 
     J = I - (1/n) 11^T is the centering projector; D is squared elementwise.
-    Rows and columns of the result sum to zero.
+    Rows and columns of the result sum to zero.  Computed in units of the
+    largest distance; an entry too large or too small for a float raises
+    FloatRangeError.
     """
-    return GramMatrix(_center(D.d**2))
+    d2, unit = _unit_squares(D.d)
+    return GramMatrix(_in_units(_center(d2), unit, 2, "Gram entry"))
 
 
 def _anchor(d2: np.ndarray) -> np.ndarray:
@@ -278,11 +311,13 @@ def schoenberg_gram(D: DistanceMatrix) -> GramMatrix:
 
     The output is (n-1)-by-(n-1), indexed by points 1..n-1.  It is PSD
     exactly when ``D`` is a Euclidean distance matrix, and its rank is the
-    minimal embedding dimension.
+    minimal embedding dimension.  Computed in units of the largest distance;
+    an entry too large or too small for a float raises FloatRangeError.
     """
     if D.n < 2:
         raise ValueError("anchored Gram matrix needs at least 2 points")
-    return GramMatrix(_anchor(D.d**2))
+    d2, unit = _unit_squares(D.d)
+    return GramMatrix(_in_units(_anchor(d2), unit, 2, "Gram entry"))
 
 
 def symmetric_eigendecomposition(g: GramMatrix | np.ndarray) -> SpectralDecomposition:
@@ -370,10 +405,10 @@ def gram_from_realization(x: Realization) -> GramMatrix:
 
 
 def edm_from_realization(x: Realization) -> DistanceMatrix:
-    """Euclidean distance matrix of the rows of x."""
-    diff = x.coords[:, None, :] - x.coords[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=-1))
-    return DistanceMatrix(d)
+    """Euclidean distance matrix of the rows of x, in units of their extent."""
+    # The differences are antisymmetric, so the largest is the largest in size.
+    d2, unit = _unit_squares(x.coords[:, None, :] - x.coords[None, :, :])
+    return DistanceMatrix(np.sqrt(d2.sum(axis=-1)) * unit)
 
 
 def center_realization(x: Realization) -> Realization:

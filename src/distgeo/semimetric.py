@@ -23,9 +23,10 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
+    _center,
     _classify_stack,
     _factor_gram,
-    double_center,
+    _unit_squares,
     validate_distance_matrix,
 )
 from .simplex import _flat
@@ -256,11 +257,11 @@ def congruently_embeddable(
     tol = tol or DEFAULT_TOLERANCES
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
-    _, verdict, coords = _factor_gram(double_center(s.d), tol)
+    d2, unit = _unit_squares(s.d.d)
+    _, verdict, coords = _factor_gram(_center(d2), tol)
     if verdict.is_psd and verdict.rank <= dim:
-        return EmbeddabilityVerdict(True, dim, realization=Realization(coords))
+        return EmbeddabilityVerdict(True, dim, realization=Realization(coords * unit))
 
-    d2 = s.d.d**2
     for size in range(2, min(s.n, dim + 3) + 1):
         for rows, stack in _subset_chunks(d2, size):
             rank, is_edm = _classify_stack(stack, tol)
@@ -295,7 +296,7 @@ def verify_menger_criterion(
     if n > MENGER_SUBSET_CAP:
         raise TooLargeError(n, MENGER_SUBSET_CAP)
 
-    d2 = s.d.d**2
+    d2, _ = _unit_squares(s.d.d)
 
     def subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
         return _gather(d2, combinations(range(n), k), k)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FloatRangeError, InfeasibleError
-from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances
+from .errors import InfeasibleError
+from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances, _in_units, _unit_squares
 
 __all__ = [
     "TriangleSides",
@@ -131,17 +131,12 @@ def cayley_menger_determinant(s: SimplexSides) -> float:
 
     For m vertices this is the (m+1)-by-(m+1) determinant whose sign
     alternates with the dimension; it vanishes exactly on flat simplices.
+    Taken in units of the longest side and scaled back; a determinant too
+    large or too small for a float raises FloatRangeError.
     """
-    return float(np.linalg.det(_bordered(s.d.d**2)))
-
-
-def _in_units(value: float, unit: float, power: int, quantity: str) -> float:
-    """value * unit**power, one factor at a time, so that a partial product
-    overflows only when the result does; FloatRangeError names it then."""
-    out = math.prod([unit] * power, start=value)
-    if math.isinf(out):
-        raise FloatRangeError(quantity, math.log10(abs(value)) + power * math.log10(unit))
-    return out
+    d2, unit = _unit_squares(s.d.d)
+    det = float(np.linalg.det(_bordered(d2)))
+    return _in_units(det, unit, 2 * (s.m - 1), "Cayley-Menger determinant")
 
 
 def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
@@ -175,4 +170,4 @@ def is_flat(s: SimplexSides, tol: Tolerances | None = None) -> bool:
     The determinant is normalized by (max squared distance)^(m-1) so the
     test does not depend on measurement units.
     """
-    return bool(_flat(s.d.d**2, tol or DEFAULT_TOLERANCES))
+    return bool(_flat(_unit_squares(s.d.d)[0], tol or DEFAULT_TOLERANCES))

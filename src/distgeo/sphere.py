@@ -32,9 +32,10 @@ from .matrices import (
     Realization,
     Tolerances,
     _anchor,
+    _center,
     _classify_stack,
     _factor_gram,
-    double_center,
+    _unit_squares,
 )
 
 __all__ = [
@@ -155,11 +156,12 @@ def chord_length(alpha: float, x: float) -> float:
 
 def _realize_chords(c: np.ndarray, tol: Tolerances) -> tuple[Realization, int]:
     """Realize six chord lengths as 4 points in R^3, plus the affine rank."""
-    _, verdict, columns = _factor_gram(double_center(DistanceMatrix(_pair_matrices(c))), tol)
+    d2, unit = _unit_squares(DistanceMatrix(_pair_matrices(c)).d)
+    _, verdict, columns = _factor_gram(_center(d2), tol)
     if not verdict.is_psd or verdict.rank > 3:
-        raise NotRealizableError(verdict.min_eigenvalue)
+        raise NotRealizableError(verdict.min_eigenvalue * unit * unit)
     coords = np.zeros((4, 3))
-    coords[:, : verdict.rank] = columns
+    coords[:, : verdict.rank] = columns * unit
     return Realization(coords), verdict.rank
 
 
@@ -184,20 +186,22 @@ def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
     Solves the linear system equating squared distances to a common center.
     When the points span fewer than 3 dimensions by the toolkit's one rank
     cut (as in :func:`distgeo.embedding.classify_edm`) they are coplanar and
-    the radius is infinite.
+    the radius is infinite.  Solved in units of the coordinates' extent.
     """
     tol = tol or DEFAULT_TOLERANCES
     p = t.coords
     if p.shape != (4, 3):
         raise ValueError(f"need exactly 4 points in R^3, got shape {p.shape}")
-    rank, _ = _classify_stack(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=-1), tol)
+    rank, _ = _classify_stack(_unit_squares(p[:, None, :] - p[None, :, :])[0].sum(axis=-1), tol)
     if rank < 3:
         return Circumsphere(math.inf, None)
+    p2, unit = _unit_squares(np.abs(p))
+    p = p / unit
     a = 2.0 * (p[1:] - p[0])
-    b = (p[1:] ** 2).sum(axis=1) - (p[0] ** 2).sum()
+    b = p2[1:].sum(axis=1) - p2[0].sum()
     center = np.linalg.solve(a, b)
     radius = float(np.linalg.norm(p - center, axis=1).mean())
-    return Circumsphere(radius, center)
+    return Circumsphere(radius * unit, center * unit)
 
 
 def _inverse_circumradii(

@@ -44,6 +44,24 @@ class TestCheckEdm:
         r = run_cli("check-edm", FIXTURES / "does_not_exist.txt")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("k", [1e-170, 1e160])
+    def test_triangle_345_over_the_float_range(self, tmp_path, k):
+        f = tmp_path / "triangle345_scaled.txt"
+        f.write_text(scaled_fixture("triangle345.txt", k))
+        r = run_cli("check-edm", f)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "EDM r=2\n", "")
+
+    @pytest.mark.parametrize(
+        "k, magnitude", [(1e-170, "10^-340.1"), (1e160, "10^319.9")]
+    )
+    def test_witness_beyond_float_range_is_an_error(self, tmp_path, k, magnitude):
+        f = tmp_path / "triangle113_scaled.txt"
+        f.write_text(scaled_fixture("triangle113.txt", k))
+        r = run_cli("check-edm", f)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: eigenvalue of about {magnitude} does not fit in a float\n"
+
     def test_asymmetric_matrix(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1\n2 0\n")
@@ -86,6 +104,14 @@ class TestMds:
         assert r.returncode == 0
         assert "H=0" in r.stdout
 
+    def test_eigenvalue_beyond_float_range_is_an_error(self, tmp_path):
+        f = tmp_path / "triangle345_1e160.txt"
+        f.write_text(scaled_fixture("triangle345.txt", 1e160))
+        r = run_cli("mds", f)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: eigenvalue of about 10^321.1 does not fit in a float\n"
+
     def test_dim_cap(self):
         r = run_cli("mds", FIXTURES / "square.txt", "--dim", "1")
         assert "H=1" in r.stdout
@@ -119,6 +145,12 @@ class TestVolumeAndHeron:
         assert r.stderr == "error: area of about 10^320.8 does not fit in a float\n"
         assert "inf" not in r.stdout
 
+    def test_heron_radicand_below_float_range_is_an_error(self):
+        r = run_cli("heron", 1e-170, 1e-170, 3e-170)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: radicand of about 10^-679.6 does not fit in a float\n"
+
     def test_volume_triangle(self):
         r = run_cli("volume", FIXTURES / "triangle345.txt")
         assert r.returncode == 0
@@ -149,6 +181,15 @@ class TestVolumeAndHeron:
         assert "nan" not in r.stdout and "inf" not in r.stdout
 
 
+    def test_volume_below_float_range_is_an_error(self, tmp_path):
+        f = tmp_path / "tetra_1e-110.txt"
+        f.write_text(scaled_fixture("tetra_unit.txt", 1e-110))
+        r = run_cli("volume", f)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: volume of about 10^-330.9 does not fit in a float\n"
+
+
 class TestTrilaterate:
     DISTS = "1.7320508075688772,1.4142135623730951,1.4142135623730951,1.4142135623730951"
 
@@ -159,6 +200,19 @@ class TestTrilaterate:
         assert r.returncode == 0
         point = [float(v) for v in r.stdout.strip().split("\t")]
         np.testing.assert_allclose(point, [1.0, 1.0, 1.0], atol=1e-9)
+
+    @pytest.mark.parametrize("k", [1e-170, 1e160])
+    def test_forward_over_the_float_range(self, tmp_path, k):
+        point = np.array([0.3, 0.2, 0.1])
+        anchors = np.loadtxt(FIXTURES / "anchors3d.txt")
+        dists = ",".join(repr(k * float(v)) for v in np.linalg.norm(anchors - point, axis=1))
+        f = tmp_path / "anchors_scaled.txt"
+        f.write_text(scaled_fixture("anchors3d.txt", k))
+        r = run_cli("trilaterate", "--anchors", f, "--dists", dists)
+        assert r.returncode == 0
+        assert r.stderr == ""
+        got = [float(v) for v in r.stdout.strip().split("\t")]
+        np.testing.assert_allclose(got, k * point, rtol=1e-9)
 
     def test_inconsistent(self):
         r = run_cli(
@@ -242,6 +296,17 @@ class TestMenger:
         r = run_cli("menger", FIXTURES / "tetra_unit.txt", "--dim", "2")
         assert "base(size=3):" in r.stdout
         assert "flat(size=4):" in r.stdout
+
+    @pytest.mark.parametrize("k", [1e-170, 1e-160, 1e160])
+    def test_triangle_345_on_a_line_over_the_float_range(self, tmp_path, k):
+        f = tmp_path / "triangle345_scaled.txt"
+        f.write_text(scaled_fixture("triangle345.txt", k))
+        r = run_cli("menger", f, "--dim", "1")
+        assert r.returncode == 1
+        assert r.stderr == ""
+        lines = r.stdout.splitlines()
+        assert lines[0] == "NOT-EMBEDDABLE subset=[0,1,2]"
+        assert "flat(size=3): checked=1 failed=1" in lines
 
     def test_semi_metric_violation(self, tmp_path):
         f = tmp_path / "zero_off.txt"

@@ -138,7 +138,7 @@ class TestTrilaterate:
             trilaterate(problem)
         assert err.value.residual > 0
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-170, 1e160])
     def test_inconsistent_distances_at_any_scale(self, scale):
         problem = TrilaterationProblem(
             Realization(np.array([[0, 0], [1, 0], [0, 1]]) * scale),
@@ -147,13 +147,13 @@ class TestTrilaterate:
         with pytest.raises(NoSolutionError):
             trilaterate(problem)
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e-170, 1e160])
     def test_consistent_distances_solve_at_any_scale(self, scale):
-        anchors = np.array([[0, 0], [1, 0], [0, 1]]) * scale
-        target = np.array([0.3, 0.4]) * scale
-        dists = np.linalg.norm(anchors - target, axis=1)
-        point = trilaterate(TrilaterationProblem(Realization(anchors), dists))
-        np.testing.assert_allclose(point.coords[0], target, rtol=1e-9)
+        anchors = np.array([[0, 0], [1, 0], [0, 1]])
+        target = np.array([0.3, 0.4])
+        dists = np.linalg.norm(anchors - target, axis=1) * scale
+        point = trilaterate(TrilaterationProblem(Realization(anchors * scale), dists))
+        np.testing.assert_allclose(point.coords[0], target * scale, rtol=1e-9)
 
     def test_collinear_anchors_rejected(self):
         problem = TrilaterationProblem(

@@ -9,6 +9,7 @@ import pytest
 
 from distgeo.errors import (
     AsymmetricMatrixError,
+    FloatRangeError,
     NegativeEntryError,
     NonSquareError,
     NonzeroDiagonalError,
@@ -114,6 +115,13 @@ class TestDoubleCenter:
         )
         w = symmetric_eigendecomposition(double_center(d)).eigenvalues
         np.testing.assert_allclose(w, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("gram", [double_center, schoenberg_gram])
+    @pytest.mark.parametrize("k", [1e-170, 1e160])
+    def test_entries_beyond_float_range_are_an_error(self, gram, k):
+        d = DistanceMatrix(k * np.array([[0, 3, 4], [3, 0, 5], [4, 5, 0.0]]))
+        with pytest.raises(FloatRangeError, match="Gram entry of about"):
+            gram(d)
 
     def test_row_sums_vanish(self):
         rng = np.random.default_rng(0)
@@ -283,6 +291,11 @@ class TestRealizationConversions:
         np.testing.assert_allclose(d[0, 1], 3.0)
         np.testing.assert_allclose(d[0, 2], 4.0)
         np.testing.assert_allclose(d[1, 2], 5.0)
+
+    @pytest.mark.parametrize("k", [1e-170, 1e160])
+    def test_edm_at_extreme_units(self, k):
+        d = edm_from_realization(Realization(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]) * k))
+        np.testing.assert_allclose(d.d, k * np.array([[0, 3, 4], [3, 0, 5], [4, 5, 0]]), rtol=1e-15)
 
     def test_center_examples(self):
         np.testing.assert_allclose(

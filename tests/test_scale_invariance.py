@@ -3,7 +3,9 @@
 Inputs are built from small integers so that every eigenvalue and bordered
 determinant is either exactly zero or far from its threshold; rescaling by
 10^u with u in [-6, 6] must then leave every verdict unchanged and scale
-every length.
+every length.  Over the whole float range, 10^u with u in [-300, 300], the
+random spaces of the subset-engine tests keep every verdict they have at
+their own scale.
 """
 
 import math
@@ -20,7 +22,9 @@ from distgeo.semimetric import (
     congruently_embeddable,
     verify_menger_criterion,
 )
+from distgeo.simplex import SimplexSides, is_flat
 from distgeo.sphere import GeodesicTetrahedron, embed_on_sphere
+from test_subset_engine import spaces
 
 REGULAR_GEODESIC = 2 * math.asin(math.sqrt(2 / 3))
 
@@ -68,6 +72,19 @@ def test_psd_and_menger_routes_agree_on_rescaled_spaces(d, k, dim):
     psd = congruently_embeddable(space, dim)
     menger = verify_menger_criterion(space, dim)
     assert psd.embeddable == menger.embeddable
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(spaces, st.integers(-3000, 3000).map(lambda t: 10.0 ** (t / 10)))
+def test_verdicts_hold_over_the_whole_float_range(space, k):
+    s, dim = space
+    t = FiniteSemiMetricSpace(s.labels, DistanceMatrix(k * s.d.d))
+    base, scaled = classify_edm(s.d), classify_edm(t.d)
+    assert (scaled.is_edm, scaled.dim) == (base.is_edm, base.dim)
+    base, scaled = congruently_embeddable(s, dim), congruently_embeddable(t, dim)
+    assert (scaled.embeddable, scaled.failing_subset) == (base.embeddable, base.failing_subset)
+    assert verify_menger_criterion(t, dim) == verify_menger_criterion(s, dim)
+    assert is_flat(SimplexSides(t.d)) == is_flat(SimplexSides(s.d))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

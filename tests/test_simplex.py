@@ -101,6 +101,13 @@ class TestCayleyMengerDeterminant:
         s = SimplexSides(DistanceMatrix([[0, d], [d, 0]]))
         assert cayley_menger_determinant(s) == pytest.approx(2 * d**2, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1e-170, 1e160])
+    def test_beyond_float_range_is_an_error(self, k):
+        # the regular tetrahedron's determinant is 4 k^6
+        s = SimplexSides(DistanceMatrix(k * (np.ones((4, 4)) - np.eye(4))))
+        with pytest.raises(FloatRangeError, match="Cayley-Menger determinant of about"):
+            cayley_menger_determinant(s)
+
     def test_identity_on_random_triangles(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

@@ -161,6 +161,12 @@ class TestCircumradius:
         assert sphere.radius == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
         np.testing.assert_allclose(sphere.center, [0.5, 0.5, 0.5], atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1e-170, 1e160])
+    def test_regular_tetrahedron_at_extreme_units(self, k):
+        r = tetrahedron_from_chords(np.full(6, REGULAR_CHORD))
+        sphere = circumradius(Realization(r.coords * k))
+        assert sphere.radius == pytest.approx(k, rel=1e-9)
+
     def test_coplanar_is_infinite(self):
         t = Realization([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
         assert not circumradius(t).is_finite
