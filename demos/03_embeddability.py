@@ -31,6 +31,16 @@ def main():
     print(f"  size-4 subsets flat: {report.flat2_checked - len(report.flat2_failures)}"
           f"/{report.flat2_checked} pass -> verdict embeddable={report.embeddable}")
 
+    # 199 points on a plane and one lifted off it: the witness search takes
+    # one greedy pass over the points, not a scan of all C(200, 4) subsets
+    rng = np.random.default_rng(3)
+    pts = np.zeros((200, 3))
+    pts[:, :2] = rng.standard_normal((200, 2))
+    pts[150, 2] = 0.5
+    lifted = validate_semi_metric(np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+    print("\n200 points, point 150 lifted off the plane; witness in R^2:",
+          congruently_embeddable(lifted, 2).failing_subset)
+
     # triangle-inequality violation: a legal semi-metric, Euclidean nowhere
     bad = validate_semi_metric([[0, 1, 1], [1, 0, 3], [1, 3, 0]])
     print("\n(1,1,3) is a valid semi-metric; embeddable in R^3:",

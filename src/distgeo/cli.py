@@ -15,6 +15,7 @@ output is printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -47,10 +48,25 @@ class CliInputError(Exception):
 
 
 def fmt12(value: float) -> str:
-    """Fixed 12-significant-digit positional decimal (deterministic output)."""
-    return np.format_float_positional(
-        value + 0.0, precision=12, unique=False, fractional=False, trim="k"
-    )
+    """Positional decimal with 12 significant digits (deterministic output).
+
+    The digits are the correctly rounded ones of the scientific form, laid
+    out positionally: trailing zeros kept, and a trailing point when the
+    value has no fractional digits.
+    """
+    value = float(value) + 0.0
+    if not math.isfinite(value):
+        return str(value)
+    mantissa, exponent = np.format_float_scientific(
+        value, precision=11, unique=False, trim="k"
+    ).split("e")
+    sign = "-" if value < 0 else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    e = int(exponent)
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{digits}"
+    digits = digits.ljust(e + 1, "0")
+    return f"{sign}{digits[:e + 1]}.{digits[e + 1:]}"
 
 
 def read_table(path: str) -> np.ndarray:

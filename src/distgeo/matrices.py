@@ -266,11 +266,12 @@ def _in_units(value, unit: float, power: int, quantity: str):
     partial product leaves the float range only when the result does.
 
     Raises FloatRangeError, naming the quantity and the largest magnitude
-    lost, when a result overflows or a nonzero value flushes to zero.
+    lost, when a result overflows or a nonzero value lands below the normal
+    range, where it flushes to zero or keeps only a few significant bits.
     """
     with np.errstate(over="ignore"):
         out = math.prod([unit] * power, start=value)
-    lost = np.isinf(out) | ((out == 0.0) & (value != 0.0))
+    lost = np.isinf(out) | ((np.abs(out) < np.finfo(float).tiny) & (value != 0.0))
     if np.any(lost):
         worst = float(np.abs(np.asarray(value)[lost]).max())
         raise FloatRangeError(quantity, math.log10(worst) + power * math.log10(unit))

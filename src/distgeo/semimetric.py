@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -52,6 +52,12 @@ MENGER_SUBSET_CAP = 12
 # a cap that bounds the memory of one stack.
 _FIRST_CHUNK = 16
 _CHUNK_CAP = 256
+
+# Subsets the lexicographic witness scan of a non-Euclidean space may test
+# before it turns to Menger's anchored search, which tests O(n^2).  Well
+# above the largest full scan of any small space (n <= 18 at dim 3 is
+# about 31 000), so it bounds only the scan of large spaces.
+_WITNESS_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,13 @@ class EmbeddabilityVerdict:
 
     When embeddable, ``realization`` holds coordinates (in the minimal
     dimension, at most the requested one).  Otherwise ``failing_subset`` is
-    the lexicographically smallest subset of minimal size that is itself not
-    embeddable, restricted to at most dim+3 points.
+    a subset of at most dim+3 points that is itself not embeddable: the
+    lexicographically smallest one of minimal size for Euclidean input and
+    whenever the scan stays within its budget, and otherwise one found
+    through Menger's anchored theorem, which is inclusion-minimal (every
+    proper subset embeds) but not certified lexicographically smallest.  It
+    is None only when the verdict sits at the threshold and no small subset
+    fails.
     """
 
     embeddable: bool
@@ -229,10 +240,10 @@ def _gather(d2: np.ndarray, subsets, k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, d2[rows[:, :, None], rows[:, None, :]]
 
 
-def _subset_chunks(d2: np.ndarray, k: int):
-    """Every size-k subset of the points in lexicographic order, chunk by
-    chunk, as :func:`_gather` gives them."""
-    subsets = combinations(range(d2.shape[0]), k)
+def _chunks(d2: np.ndarray, subsets, k: int):
+    """The size-k ``subsets``, in their order, chunk by chunk as
+    :func:`_gather` gives them."""
+    subsets = iter(subsets)
     size = _FIRST_CHUNK
     while True:
         rows, stack = _gather(d2, islice(subsets, size), k)
@@ -242,6 +253,78 @@ def _subset_chunks(d2: np.ndarray, k: int):
         size = min(4 * size, _CHUNK_CAP)
 
 
+def _lex_chunks(d2: np.ndarray, points, dim: int):
+    """Every subset of ``points`` that can fail at ``dim``, by size and then
+    lexicographically, chunk by chunk.  A pair of distinct points is an EDM
+    of rank 1, so pairs are included only at dim 0; the largest size is
+    dim+3."""
+    for size in range(2 if dim == 0 else 3, min(len(points), dim + 3) + 1):
+        yield from _chunks(d2, combinations(points, size), size)
+
+
+def _first_failing(rows: np.ndarray, stack: np.ndarray, dim: int, tol: Tolerances):
+    """The first of the stacked subsets that is not an EDM of rank <= dim,
+    or None."""
+    rank, is_edm = _classify_stack(stack, tol)
+    failing = ~is_edm | (rank > dim)
+    return tuple(rows[np.argmax(failing)].tolist()) if failing.any() else None
+
+
+def _greedy(d2: np.ndarray, size: int, tol: Tolerances) -> tuple[list, tuple | None]:
+    """``(chosen, failing)``: starting from the first min(size, 2) points
+    (a pair of distinct points is an EDM of rank 1), repeatedly append the
+    first later point whose set with the chosen ones is an EDM of full rank,
+    until ``size`` points are chosen or no later point qualifies.
+
+    Each step is one stack of the candidate sets.  ``failing`` is the first
+    candidate before the appended point that is not an EDM; the pass stops
+    there.  On Euclidean input this is the greedy basis of the affine
+    matroid, which is lexicographically first (D. Gale, J. Combin. Theory 4,
+    1968): a point that does not raise the rank never raises it later.
+    """
+    n = d2.shape[0]
+    chosen = list(range(min(size, 2)))
+    while len(chosen) < size:
+        k = len(chosen) + 1
+        rows, stack = _gather(d2, (chosen + [i] for i in range(chosen[-1] + 1, n)), k)
+        rank, is_edm = _classify_stack(stack, tol)
+        stop = ~is_edm | (rank == k - 1)
+        if not stop.any():
+            break
+        j = int(np.argmax(stop))
+        if not is_edm[j]:
+            return chosen, tuple(rows[j].tolist())
+        chosen.append(int(rows[j, -1]))
+    return chosen, None
+
+
+def _anchored_witness(d2: np.ndarray, dim: int, tol: Tolerances) -> tuple | None:
+    """An inclusion-minimal failing subset found through Menger's anchored
+    theorem, or None when the greedy pass finds neither a failing set nor an
+    anchor.
+
+    The anchor A is the greedy (dim+1)-subset of rank dim.  A space that
+    does not embed in R^dim has a failing A+{x} or A+{x, y}; these O(n^2)
+    sets are tested in chunks, and the first failing one, or a failing set
+    the greedy pass met, is shrunk to its own first failing subset by size
+    and then lexicographically (at most 2^(dim+3) subsets).
+    """
+    anchor, failing = _greedy(d2, dim + 1, tol)
+    if failing is None:
+        if len(anchor) < dim + 1:
+            return None
+        others = [x for x in range(d2.shape[0]) if x not in anchor]
+        sets = chain(
+            _chunks(d2, (sorted(anchor + [x]) for x in others), dim + 2),
+            _chunks(d2, (sorted(anchor + [x, y]) for x, y in combinations(others, 2)), dim + 3),
+        )
+        failing = next(filter(None, (_first_failing(*c, dim, tol) for c in sets)), None)
+        if failing is None:
+            return None
+    chunks = _lex_chunks(d2, failing, dim)
+    return next(filter(None, (_first_failing(*c, dim, tol) for c in chunks)), failing)
+
+
 def congruently_embeddable(
     s: FiniteSemiMetricSpace, dim: int, tol: Tolerances | None = None
 ) -> EmbeddabilityVerdict:
@@ -249,10 +332,22 @@ def congruently_embeddable(
 
     Embeddable exactly when the distance matrix is an EDM of rank at most
     ``dim``; the witness realization comes from the centered Gram
-    factorization.  When not embeddable, subsets are enumerated by size
-    (then lexicographically) up to dim+3 points, and the first subset that
-    itself fails the test is reported -- by the finitistic characterization
-    such a small witness always exists.
+    factorization.  When not embeddable, the witness is a subset of at most
+    dim+3 points that itself fails the test -- by the finitistic
+    characterization such a small witness always exists:
+
+    - Euclidean input (an EDM of rank above ``dim``): the greedy pass of
+      :func:`_greedy` finds the lexicographically smallest minimal witness,
+      an affinely independent (dim+2)-subset, in dim+2 stacked steps.
+    - Otherwise, or when that pass meets a set that is not an EDM: subsets
+      are scanned by size and then lexicographically, and the first failing
+      one is the lexicographically smallest witness of minimal size.  After
+      ``_WITNESS_BUDGET`` subsets the scan turns to Menger's anchored
+      theorem (:func:`_anchored_witness`): that witness is inclusion-minimal
+      (every proper subset embeds) but not certified lexicographically
+      smallest.  When the anchored search finds nothing, which needs an
+      anchor-free space or a verdict at the threshold, the scan goes on
+      without a bound.
     """
     tol = tol or DEFAULT_TOLERANCES
     if dim < 0:
@@ -261,14 +356,19 @@ def congruently_embeddable(
     _, verdict, coords = _factor_gram(_center(d2), tol)
     if verdict.is_psd and verdict.rank <= dim:
         return EmbeddabilityVerdict(True, dim, realization=Realization(coords * unit))
+    if verdict.is_psd:
+        chosen, failing = _greedy(d2, dim + 2, tol)
+        if failing is None and len(chosen) == dim + 2:
+            return EmbeddabilityVerdict(False, dim, failing_subset=tuple(chosen))
 
-    for size in range(2, min(s.n, dim + 3) + 1):
-        for rows, stack in _subset_chunks(d2, size):
-            rank, is_edm = _classify_stack(stack, tol)
-            failing = ~is_edm | (rank > dim)
-            if failing.any():
-                subset = tuple(rows[np.argmax(failing)].tolist())
-                return EmbeddabilityVerdict(False, dim, failing_subset=subset)
+    checked = 0
+    for rows, stack in _lex_chunks(d2, range(s.n), dim):
+        witness = _first_failing(rows, stack, dim, tol)
+        if witness is None and checked <= _WITNESS_BUDGET < checked + len(rows):
+            witness = _anchored_witness(d2, dim, tol)
+        if witness is not None:
+            return EmbeddabilityVerdict(False, dim, failing_subset=witness)
+        checked += len(rows)
     # Numerically possible when the whole space sits right at the verdict
     # threshold while every small subset clears it; report without witness.
     return EmbeddabilityVerdict(False, dim, failing_subset=None)

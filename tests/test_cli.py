@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_subset_engine import large_space
+
+from distgeo.cli import fmt12
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -51,8 +54,10 @@ class TestCheckEdm:
         r = run_cli("check-edm", f)
         assert (r.returncode, r.stdout, r.stderr) == (0, "EDM r=2\n", "")
 
+    # At 1e-160 the witness, about -8.3e-321, would keep only a few bits.
     @pytest.mark.parametrize(
-        "k, magnitude", [(1e-170, "10^-340.1"), (1e160, "10^319.9")]
+        "k, magnitude",
+        [(1e-170, "10^-340.1"), (1e-160, "10^-320.1"), (1e160, "10^319.9")],
     )
     def test_witness_beyond_float_range_is_an_error(self, tmp_path, k, magnitude):
         f = tmp_path / "triangle113_scaled.txt"
@@ -308,6 +313,23 @@ class TestMenger:
         assert lines[0] == "NOT-EMBEDDABLE subset=[0,1,2]"
         assert "flat(size=3): checked=1 failed=1" in lines
 
+    @pytest.mark.parametrize("kind", ["lifted", "perturbed"])
+    def test_witness_search_on_500_points_is_bounded(self, tmp_path, kind):
+        space, must = large_space(kind)
+        f = tmp_path / f"{kind}.txt"
+        f.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in space.d.d))
+        r = subprocess.run(
+            [sys.executable, "-m", "distgeo", "menger", str(f), "--dim", "3"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (r.returncode, r.stderr) == (1, "")
+        line = r.stdout.strip()
+        assert line.startswith("NOT-EMBEDDABLE subset=[")
+        witness = {int(i) for i in line.split("[")[1].rstrip("]").split(",")}
+        assert len(witness) <= 6 and set(must) <= witness
+
     def test_semi_metric_violation(self, tmp_path):
         f = tmp_path / "zero_off.txt"
         f.write_text("0 0\n0 0\n")
@@ -337,6 +359,31 @@ class TestSignsAndEuler:
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr == "error: vertices must be a nonnegative integer, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        # These printed fewer than 12 significant digits before.
+        (0.5, "0.500000000000"),
+        (-0.5, "-0.500000000000"),
+        (0.83579127781, "0.835791277810"),
+        (2.5e-07, "0.000000250000000000"),
+        (3e-13, "0.000000000000300000000000"),
+        (2e-20, "0.0000000000000000000200000000000"),
+        # These printed 12 and are unchanged.
+        (6.0, "6.00000000000"),
+        (123.456, "123.456000000"),
+        (1e-05, "0.0000100000000000"),
+        (0.999999999999951, "1.00000000000"),
+        (1.23456789012345e20, "123456789012000000000."),
+        (2e-100, "0." + "0" * 99 + "200000000000"),
+        (0.0, "0.00000000000"),
+        (-0.0, "0.00000000000"),
+    ],
+)
+def test_fmt12_prints_12_significant_digits(value, text):
+    assert fmt12(value) == text
 
 
 class TestLibraryErrors:

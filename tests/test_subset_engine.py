@@ -1,20 +1,27 @@
 """The batched subset engine against a subset-by-subset reference.
 
 ``verify_menger_criterion`` tests all subsets of one size as one stacked
-array, and the witness search in ``congruently_embeddable`` tests them as
-one stacked array per lexicographic chunk.  The reference here restricts the space to each subset
-and asks ``classify_edm`` and ``is_flat`` one subset at a time; both must
-give the same report, field for field, on random spaces of every kind and
-unit of measure.  Relabelling the points must not change any verdict or
-count.
+array, and the witness search in ``congruently_embeddable`` must find the
+witness of a scan of every subset by size and then lexicographically.  The
+reference here restricts the space to each subset and asks
+``classify_edm`` and ``is_flat`` one subset at a time; both must give the
+same report, field for field, on random spaces of every kind and unit of
+measure.  Relabelling the points must not change any verdict or count.
+Past its budget the witness search falls back to Menger's anchored
+theorem, whose witness must be inclusion-minimal, and on large spaces it
+must test a bounded number of subsets.
 """
 
+import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distgeo import semimetric
 from distgeo.embedding import classify_edm
 from distgeo.matrices import DistanceMatrix, Realization, edm_from_realization
 from distgeo.semimetric import (
@@ -31,8 +38,9 @@ def _edm(pts):
 
 
 def make_space(kind, seed):
-    """A random space of one kind with n <= 9 points, a target dimension
-    0-3 and a unit of measure 10^u, u in [-6, 6], all drawn from the seed."""
+    """A random space of one kind with n <= 9 points (14 for "thin_lift"),
+    a target dimension 0-3 and a unit of measure 10^u, u in [-6, 6], all
+    drawn from the seed."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 10))
     dim = int(rng.integers(0, 4))
@@ -44,6 +52,14 @@ def make_space(kind, seed):
         pts = np.zeros((n, k + 1))
         pts[:, :k] = rng.standard_normal((n, k))
         pts[int(rng.integers(n)), k] = rng.uniform(0.3, 2.0)
+        d = _edm(pts)
+    elif kind == "thin_lift":
+        # Up to 14 points, one at a random index lifted 1e-5 to 1 off R^dim.
+        n = int(rng.integers(dim + 2, 15))
+        k = max(dim, 1)
+        pts = np.zeros((n, k + 1))
+        pts[:, :k] = rng.standard_normal((n, k))
+        pts[int(rng.integers(n)), k] = 10 ** rng.uniform(-5, 0)
         d = _edm(pts)
     elif kind == "semi":
         m = rng.uniform(0.3, 3.0, (n, n))
@@ -61,6 +77,41 @@ spaces = st.builds(
     st.sampled_from(["edm", "lifted", "semi", "noisy"]),
     st.integers(0, 2**32 - 1),
 )
+
+# The Menger report is capped at 12 points, so the larger kind serves the
+# witness tests only.
+witness_spaces = st.builds(
+    make_space,
+    st.sampled_from(["edm", "lifted", "thin_lift", "semi", "noisy"]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def large_space(kind, n=500, seed=0):
+    """``(space, must)``: n points that do not embed in R^3, and the points
+    every witness must contain.
+
+    "lifted": generic points in a 3-flat, one of them, at a random index,
+    lifted off it.  "perturbed": generic points in R^3 with the distance of
+    one random pair lengthened by 1e-3 of itself, so the space is not
+    Euclidean.
+    """
+    rng = np.random.default_rng(seed)
+    pts = np.zeros((n, 4))
+    pts[:, :3] = rng.standard_normal((n, 3))
+    if kind == "lifted":
+        lifted = int(rng.integers(n))
+        pts[lifted, 3] = 1.0
+        return FiniteSemiMetricSpace(tuple(range(n)), DistanceMatrix(_edm(pts))), (lifted,)
+    d = np.array(_edm(pts))
+    p, q = sorted(int(i) for i in rng.choice(n, 2, replace=False))
+    d[p, q] = d[q, p] = d[p, q] * (1 + 1e-3)
+    return FiniteSemiMetricSpace(tuple(range(n)), DistanceMatrix(d)), (p, q)
+
+
+def embeds(s, subset, dim):
+    c = classify_edm(s.d.restrict(subset))
+    return c.is_edm and c.dim <= dim
 
 
 def reference_report(s, dim):
@@ -122,13 +173,85 @@ def test_menger_report_matches_subset_by_subset_reference(case):
     assert verify_menger_criterion(s, dim) == reference_report(s, dim)
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(spaces)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(witness_spaces)
 def test_witness_is_first_failing_subset_of_lex_scan(case):
     s, dim = case
     verdict = congruently_embeddable(s, dim)
     if not verdict.embeddable:
         assert verdict.failing_subset == reference_witness(s, dim)
+
+
+def assert_inclusion_minimal(s, witness, dim):
+    assert not embeds(s, witness, dim)
+    for size in range(2, len(witness)):
+        for subset in combinations(witness, size):
+            assert embeds(s, subset, dim), subset
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(spaces)
+def test_anchored_witness_is_inclusion_minimal(case):
+    s, dim = case
+    with mock.patch.object(semimetric, "_WITNESS_BUDGET", 0):
+        verdict = congruently_embeddable(s, dim)
+    if verdict.embeddable:
+        return
+    # Euclidean input never reaches the budget, so ask the fallback itself.
+    d2, _ = semimetric._unit_squares(s.d.d)
+    anchored = semimetric._anchored_witness(d2, dim, semimetric.DEFAULT_TOLERANCES)
+    for witness in {verdict.failing_subset, anchored} - {None}:
+        assert_inclusion_minimal(s, witness, dim)
+
+
+@pytest.mark.parametrize("kind", ["lifted", "perturbed"])
+def test_anchored_witness_on_a_large_space(monkeypatch, kind):
+    s, must = large_space(kind, n=40)
+    monkeypatch.setattr(semimetric, "_WITNESS_BUDGET", 0)
+    if kind == "lifted":
+        d2, _ = semimetric._unit_squares(s.d.d)
+        witness = semimetric._anchored_witness(d2, 3, semimetric.DEFAULT_TOLERANCES)
+    else:
+        witness = congruently_embeddable(s, 3).failing_subset
+    assert set(must) <= set(witness)
+    assert_inclusion_minimal(s, witness, 3)
+
+
+@pytest.fixture
+def classified_rows(monkeypatch):
+    """Counts the subsets the witness search passes to ``_classify_stack``."""
+    count = [0]
+    classify = semimetric._classify_stack
+
+    def counting(stack, tol):
+        count[0] += stack.shape[0]
+        return classify(stack, tol)
+
+    monkeypatch.setattr(semimetric, "_classify_stack", counting)
+    return count
+
+
+def test_lifted_witness_search_is_linear(classified_rows):
+    n, dim = 500, 3
+    s, (lifted,) = large_space("lifted", n)
+    witness = congruently_embeddable(s, dim).failing_subset
+    # Points 0-3 span the flat, so only the lifted point raises the rank.
+    assert witness == (0, 1, 2, 3, max(lifted, 4))
+    assert classified_rows[0] <= dim * n
+
+
+def test_non_euclidean_witness_search_is_bounded(classified_rows):
+    n, dim = 500, 3
+    s, (p, q) = large_space("perturbed", n)
+    assert not classify_edm(s.d).is_edm
+    # Every triangle passes, so the lexicographic scan runs past its budget.
+    assert all(embeds(s, sorted({p, q, r}), dim) for r in range(n) if r not in (p, q))
+    witness = congruently_embeddable(s, dim).failing_subset
+    assert {p, q} <= set(witness)
+    assert_inclusion_minimal(s, witness, dim)
+    budget = semimetric._WITNESS_BUDGET + semimetric._CHUNK_CAP
+    anchored = dim * n + n + math.comb(n, 2) + 2 ** (dim + 3)
+    assert budget < classified_rows[0] <= budget + anchored
 
 
 def _invariants(s, dim):
