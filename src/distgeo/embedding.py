@@ -21,6 +21,7 @@ from .matrices import (
     _center,
     _factor_gram,
     _in_units,
+    _threshold,
     _unit_squares,
     edm_from_realization,
 )
@@ -44,7 +45,7 @@ class EdmClassification:
     matrix; it is significantly negative exactly when the verdict is
     negative.  It is computed in units of the largest distance and scaled
     back, so past the float range it saturates to -inf or 0.0 while the
-    verdict stays exact.
+    verdict stays exact; within the rank cut it is 0.0 instead.
     """
 
     is_edm: bool
@@ -95,9 +96,14 @@ def classify_edm(D: DistanceMatrix, tol: Tolerances | None = None) -> EdmClassif
     D is an EDM exactly when the double-centered Gram matrix is PSD; the
     minimal embedding dimension is that matrix's rank.
     """
+    tol = tol or DEFAULT_TOLERANCES
     d2, unit = _unit_squares(D.d)
-    _, verdict, _ = _factor_gram(_center(d2), tol or DEFAULT_TOLERANCES)
-    return EdmClassification(verdict.is_psd, verdict.rank, verdict.min_eigenvalue * unit * unit)
+    w, verdict, _ = _factor_gram(_center(d2), tol)
+    if abs(w[-1]) <= _threshold(w, tol):
+        witness = float(_in_units(w[-1], unit, 2, "eigenvalue", residue=True))
+    else:
+        witness = float(w[-1]) * unit * unit
+    return EdmClassification(verdict.is_psd, verdict.rank, witness)
 
 
 def _max_relative_distance_error(realized: np.ndarray, target: np.ndarray) -> float:
@@ -127,17 +133,18 @@ def classical_mds(
     use; the returned spectrum includes any negative eigenvalues so callers
     can judge how non-Euclidean the input was.  Computed in units of the
     largest distance; an eigenvalue too large or too small for a float
-    raises FloatRangeError.
+    raises FloatRangeError above the rank cut and is 0.0 within it.
     """
+    tol = tol or DEFAULT_TOLERANCES
     d2, unit = _unit_squares(D.d)
-    w, _, coords = _factor_gram(_center(d2), tol or DEFAULT_TOLERANCES)
+    w, _, coords = _factor_gram(_center(d2), tol)
     if dim_cap is not None:
         if dim_cap < 0:
             raise ValueError("dim_cap must be nonnegative")
         coords = coords[:, :dim_cap]
     realized = edm_from_realization(Realization(coords))
     residual = _max_relative_distance_error(realized.d, D.d / unit)
-    w = _in_units(w, unit, 2, "eigenvalue")
+    w = _in_units(w, unit, 2, "eigenvalue", residue=np.abs(w) <= _threshold(w, tol))
     return MdsResult(Realization(coords * unit), w, coords.shape[1], residual)
 
 

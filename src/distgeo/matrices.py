@@ -92,21 +92,21 @@ class DistanceMatrix:
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        if d.ndim != 2 or not 0 < d.shape[0] == d.shape[1]:
             raise NonSquareError(d.shape)
-        if d.shape[0] == 0:
-            raise ValueError("distance matrix needs at least one point")
         _require_finite(d, "distance matrix")
+        # Each error names the worst offender; halves keep the skew finite.
         if not np.array_equal(d, d.T):
-            idx = np.argwhere(d != d.T)[0]
-            raise AsymmetricMatrixError((int(idx[0]), int(idx[1])), abs(d[idx[0], idx[1]] - d[idx[1], idx[0]]))
+            half = 0.5 * d
+            i, j = np.unravel_index(int(np.argmax(np.abs(half - half.T))), d.shape)
+            raise AsymmetricMatrixError((int(i), int(j)), abs(float(d[i, j]) - float(d[j, i])))
         diag = np.diag(d)
         if np.any(diag != 0.0):
-            i = int(np.argmax(diag != 0.0))
+            i = int(np.argmax(np.abs(diag)))
             raise NonzeroDiagonalError(i, diag[i])
         if np.any(d < 0.0):
-            idx = np.argwhere(d < 0.0)[0]
-            raise NegativeEntryError((int(idx[0]), int(idx[1])), d[idx[0], idx[1]])
+            i, j = np.unravel_index(int(np.argmin(d)), d.shape)
+            raise NegativeEntryError((int(i), int(j)), d[i, j])
         object.__setattr__(self, "d", _readonly(d))
 
     @property
@@ -215,38 +215,22 @@ def validate_distance_matrix(m, tol: Tolerances | None = None) -> DistanceMatrix
     """Check a raw square array and return it as a typed distance matrix.
 
     Symmetry, a zero diagonal and nonnegativity are enforced within
-    ``tol.dist_tol`` (relative to the largest entry); violations raise the
-    matching validation error naming the offending index.  Entries inside
-    the tolerance band are canonicalized (symmetrized, clamped to zero).
+    ``tol.dist_tol`` (relative to the largest entry): entries inside the
+    tolerance band are canonicalized (symmetrized, clamped to zero), and
+    the :class:`DistanceMatrix` constructor raises the matching validation
+    error, naming the offending index, for any entry outside it.
     """
     tol = tol or DEFAULT_TOLERANCES
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NonSquareError(arr.shape)
-    if arr.shape[0] == 0:
-        raise NonSquareError(arr.shape)
-    _require_finite(arr, "matrix")
-
-    atol = tol.dist_tol * float(np.abs(arr).max())
-
-    skew = np.abs(arr - arr.T)
-    if float(skew.max()) > atol:
-        i, j = np.unravel_index(int(np.argmax(skew)), skew.shape)
-        raise AsymmetricMatrixError((min(i, j), max(i, j)), skew[i, j])
-    sym = 0.5 * (arr + arr.T)
-
-    diag = np.abs(np.diag(sym))
-    if float(diag.max()) > atol:
-        i = int(np.argmax(diag))
-        raise NonzeroDiagonalError(i, sym[i, i])
-
-    if float(sym.min()) < -atol:
-        i, j = np.unravel_index(int(np.argmin(sym)), sym.shape)
-        raise NegativeEntryError((int(i), int(j)), sym[i, j])
-
-    out = np.clip(sym, 0.0, None)
-    np.fill_diagonal(out, 0.0)
-    return DistanceMatrix(out)
+    arr = np.array(m, dtype=float)
+    if arr.ndim == 2 and 0 < arr.shape[0] == arr.shape[1]:
+        _require_finite(arr, "matrix")
+        # Halves first: no sum or difference of two entries leaves the float range.
+        half = 0.5 * arr
+        atol = tol.dist_tol * np.abs(arr).max()
+        skew = (arr != arr.T) & (np.abs(half - half.T) <= 0.5 * atol)
+        arr[skew] = half[skew] + half.T[skew]
+        arr[((arr < 0.0) | np.eye(arr.shape[0], dtype=bool)) & (np.abs(arr) <= atol)] = 0.0
+    return DistanceMatrix(arr)
 
 
 def _unit_squares(d: np.ndarray) -> tuple[np.ndarray, float]:
@@ -261,17 +245,23 @@ def _unit_squares(d: np.ndarray) -> tuple[np.ndarray, float]:
     return (d / unit) ** 2, unit
 
 
-def _in_units(value, unit: float, power: int, quantity: str):
+def _in_units(value, unit: float, power: int, quantity: str, residue=False):
     """value * unit**power, elementwise and one factor at a time, so that a
     partial product leaves the float range only when the result does.
 
-    Raises FloatRangeError, naming the quantity and the largest magnitude
-    lost, when a result overflows or a nonzero value lands below the normal
-    range, where it flushes to zero or keeps only a few significant bits.
+    A result is lost when it overflows or a nonzero value lands below the
+    normal range, where it flushes to zero or keeps only a few significant
+    bits.  A lost result where ``residue`` is true (rounding residue, such
+    as an eigenvalue within the rank cut) comes back as 0.0; any other
+    raises FloatRangeError, naming the quantity and the largest magnitude
+    lost.
     """
     with np.errstate(over="ignore"):
         out = math.prod([unit] * power, start=value)
     lost = np.isinf(out) | ((np.abs(out) < np.finfo(float).tiny) & (value != 0.0))
+    zeroed = lost & residue
+    if np.any(zeroed):
+        out, lost = np.where(zeroed, 0.0, out), lost ^ zeroed
     if np.any(lost):
         worst = float(np.abs(np.asarray(value)[lost]).max())
         raise FloatRangeError(quantity, math.log10(worst) + power * math.log10(unit))
@@ -335,19 +325,19 @@ def symmetric_eigendecomposition(g: GramMatrix | np.ndarray) -> SpectralDecompos
     return SpectralDecomposition(w[order], v[:, order])
 
 
-def _rank_cut(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Numerical rank and PSD flag of descending spectra along the last axis.
+def _threshold(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``rank_tol`` times the spectral radius of descending spectra along the
+    last axis, max(lambda_0, -lambda_last): the toolkit's one rank cut."""
+    return tol.rank_tol * np.maximum(w[..., 0], -w[..., -1])
 
-    This is the toolkit's one rank cut.  Eigenvalues within ``rank_tol``
-    times the spectral radius, max(|lambda_max|, |lambda_min|), count as
-    zero, so verdicts do not depend on the unit of measure.  On a
-    descending spectrum that radius is max(lambda_0, -lambda_last), read off
-    the end elements.
-    """
-    lowest = w[..., -1]
-    threshold = tol.rank_tol * np.maximum(w[..., 0], -lowest)
+
+def _rank_cut(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical rank and PSD flag of descending spectra along the last axis:
+    eigenvalues within the :func:`_threshold` count as zero, so verdicts do
+    not depend on the unit of measure."""
+    threshold = _threshold(w, tol)
     rank = (w > threshold[..., None]).sum(axis=-1)
-    return rank, lowest >= -threshold
+    return rank, w[..., -1] >= -threshold
 
 
 def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:

@@ -122,9 +122,11 @@ class EmbeddabilityVerdict:
     lexicographically smallest one of minimal size for Euclidean input and
     whenever the scan stays within its budget, and otherwise one found
     through Menger's anchored theorem, which is inclusion-minimal (every
-    proper subset embeds) but not certified lexicographically smallest.  It
-    is None only when the verdict sits at the threshold and no small subset
-    fails.
+    proper subset embeds) but not certified lexicographically smallest, or,
+    when an inconsistency far from the anchor passes every anchored set's
+    rank cut, the whole space shrunk by deleting points.  It is None only
+    when the scan ends within its budget with no failing subset: the whole
+    space sits at the threshold while every small subset clears it.
     """
 
     embeddable: bool
@@ -298,29 +300,51 @@ def _greedy(d2: np.ndarray, size: int, tol: Tolerances) -> tuple[list, tuple | N
     return chosen, None
 
 
-def _anchored_witness(d2: np.ndarray, dim: int, tol: Tolerances) -> tuple | None:
-    """An inclusion-minimal failing subset found through Menger's anchored
-    theorem, or None when the greedy pass finds neither a failing set nor an
-    anchor.
+def _deletion_witness(d2: np.ndarray, dim: int, tol: Tolerances) -> tuple:
+    """A failing space less every block of points whose deletion leaves a
+    failing set, in blocks of half the points down to one point: no point
+    of the result can go, which exact arithmetic makes inclusion-minimal.
 
-    The anchor A is the greedy (dim+1)-subset of rank dim.  A space that
-    does not embed in R^dim has a failing A+{x} or A+{x, y}; these O(n^2)
-    sets are tested in chunks, and the first failing one, or a failing set
-    the greedy pass met, is shrunk to its own first failing subset by size
-    and then lexicographically (at most 2^(dim+3) subsets).
+    Each test is one eigendecomposition of the remaining points; a witness
+    of k points takes O(k log n) of them, and none takes more than about 2n.
+    """
+    kept = list(range(d2.shape[0]))
+    step = len(kept) // 2
+    while step:
+        i = 0
+        while i < len(kept):
+            rest = kept[:i] + kept[i + step :]
+            if len(rest) > 1 and _first_failing(*_gather(d2, [rest], len(rest)), dim, tol):
+                kept = rest
+            else:
+                i += step
+        step = min(step // 2, len(kept) // 2)
+    return tuple(kept)
+
+
+def _anchored_witness(d2: np.ndarray, dim: int, tol: Tolerances) -> tuple:
+    """A minimal failing subset of a failing space, found through Menger's
+    anchored theorem or, when no anchored set fails, by
+    :func:`_deletion_witness`.
+
+    The anchor A is the greedy pass's largest affinely independent set (at
+    most dim+1 points).  If every A+{x} passes, each x is pinned in A's
+    flat, so in exact arithmetic a space that does not embed in R^dim has a
+    failing A+{x, y}.  The first failing one of these O(n^2) sets, or a
+    failing set the greedy pass met, is shrunk to its own first failing
+    subset by size and then lexicographically (at most 2^(dim+3) subsets).
     """
     anchor, failing = _greedy(d2, dim + 1, tol)
     if failing is None:
-        if len(anchor) < dim + 1:
-            return None
+        k = len(anchor)
         others = [x for x in range(d2.shape[0]) if x not in anchor]
         sets = chain(
-            _chunks(d2, (sorted(anchor + [x]) for x in others), dim + 2),
-            _chunks(d2, (sorted(anchor + [x, y]) for x, y in combinations(others, 2)), dim + 3),
+            _chunks(d2, (sorted(anchor + [x]) for x in others), k + 1),
+            _chunks(d2, (sorted(anchor + [x, y]) for x, y in combinations(others, 2)), k + 2),
         )
         failing = next(filter(None, (_first_failing(*c, dim, tol) for c in sets)), None)
         if failing is None:
-            return None
+            return _deletion_witness(d2, dim, tol)
     chunks = _lex_chunks(d2, failing, dim)
     return next(filter(None, (_first_failing(*c, dim, tol) for c in chunks)), failing)
 
@@ -341,13 +365,12 @@ def congruently_embeddable(
       an affinely independent (dim+2)-subset, in dim+2 stacked steps.
     - Otherwise, or when that pass meets a set that is not an EDM: subsets
       are scanned by size and then lexicographically, and the first failing
-      one is the lexicographically smallest witness of minimal size.  After
-      ``_WITNESS_BUDGET`` subsets the scan turns to Menger's anchored
-      theorem (:func:`_anchored_witness`): that witness is inclusion-minimal
-      (every proper subset embeds) but not certified lexicographically
-      smallest.  When the anchored search finds nothing, which needs an
-      anchor-free space or a verdict at the threshold, the scan goes on
-      without a bound.
+      one is the lexicographically smallest witness of minimal size.  In
+      the chunk that takes the scan past ``_WITNESS_BUDGET`` subsets, Menger's
+      anchored theorem (:func:`_anchored_witness`) gives the final answer:
+      an inclusion-minimal witness (every proper subset embeds), not
+      certified lexicographically smallest.  When no anchored set fails the
+      rank cut, the whole space is shrunk by :func:`_deletion_witness`.
     """
     tol = tol or DEFAULT_TOLERANCES
     if dim < 0:
@@ -364,11 +387,10 @@ def congruently_embeddable(
     checked = 0
     for rows, stack in _lex_chunks(d2, range(s.n), dim):
         witness = _first_failing(rows, stack, dim, tol)
-        if witness is None and checked <= _WITNESS_BUDGET < checked + len(rows):
-            witness = _anchored_witness(d2, dim, tol)
-        if witness is not None:
-            return EmbeddabilityVerdict(False, dim, failing_subset=witness)
         checked += len(rows)
+        if witness is not None or checked > _WITNESS_BUDGET:
+            witness = witness or _anchored_witness(d2, dim, tol)
+            return EmbeddabilityVerdict(False, dim, failing_subset=witness)
     # Numerically possible when the whole space sits right at the verdict
     # threshold while every small subset clears it; report without witness.
     return EmbeddabilityVerdict(False, dim, failing_subset=None)

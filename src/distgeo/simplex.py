@@ -157,7 +157,7 @@ def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     if abs(delta) <= (n + 2) ** 2 * np.finfo(float).eps:
         return 0.0
     v2 = ((-1.0) ** (n - 1) / (2.0**n * math.factorial(n) ** 2)) * delta
-    if v2 < 0.0 and not _flat(d2, tol):
+    if v2 < 0.0 and abs(delta) > tol.rank_tol:
         raise InfeasibleError(
             "side lengths are not realizable", _in_units(v2, dmax, 2 * n, "squared volume")
         )

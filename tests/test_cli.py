@@ -7,18 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_subset_engine import large_space
+from test_subset_engine import assert_inclusion_minimal, large_space
 
 from distgeo.cli import fmt12
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+EQUILATERAL_1E308 = "0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n"
 
-def run_cli(*args):
+
+def run_cli(*args, timeout=None):
+    # pyproject's filterwarnings does not reach the child, so a numpy
+    # RuntimeWarning there is made an error (and a traceback) explicitly.
     return subprocess.run(
-        [sys.executable, "-m", "distgeo", *[str(a) for a in args]],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "distgeo", *[str(a) for a in args]],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -47,6 +52,14 @@ class TestCheckEdm:
         r = run_cli("check-edm", FIXTURES / "does_not_exist.txt")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("text", ["inf 1\n1 0\n", "inf 1\n2 0\n", "0 -inf\n-inf 0\n", "0 -inf\n3 0\n"])
+    def test_infinite_entries(self, tmp_path, text):
+        f = tmp_path / "infinite.txt"
+        f.write_text(text)
+        r = run_cli("check-edm", f)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: matrix contains non-finite entries\n"
+
     @pytest.mark.parametrize("k", [1e-170, 1e160])
     def test_triangle_345_over_the_float_range(self, tmp_path, k):
         f = tmp_path / "triangle345_scaled.txt"
@@ -66,6 +79,12 @@ class TestCheckEdm:
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr == f"error: eigenvalue of about {magnitude} does not fit in a float\n"
+
+    def test_equilateral_triangle_of_side_1e308(self, tmp_path):
+        f = tmp_path / "equilateral.txt"
+        f.write_text(EQUILATERAL_1E308)
+        r = run_cli("check-edm", f)
+        assert (r.returncode, r.stdout, r.stderr) == (0, "EDM r=2\n", "")
 
     def test_asymmetric_matrix(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -116,6 +135,25 @@ class TestMds:
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr == "error: eigenvalue of about 10^321.1 does not fit in a float\n"
+
+    def test_eigenvalues_of_side_1e308_are_an_error(self, tmp_path):
+        f = tmp_path / "equilateral.txt"
+        f.write_text(EQUILATERAL_1E308)
+        r = run_cli("mds", f)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: eigenvalue of about 10^615.7 does not fit in a float\n"
+
+    # The rounding residue below the rank cut leaves the float range here,
+    # while both eigenvalues above it fit.
+    @pytest.mark.parametrize("k", [1e-146, 1e-150])
+    def test_residue_below_float_range_is_zero(self, tmp_path, k):
+        f = tmp_path / "square_scaled.txt"
+        f.write_text(scaled_fixture("square.txt", k))
+        r = run_cli("mds", f)
+        assert (r.returncode, r.stderr) == (0, "")
+        lines = r.stdout.splitlines()
+        assert lines[0].split("\t")[3:] == ["0.00000000000", "0.00000000000"]
+        assert lines[1] == "H=2"
 
     def test_dim_cap(self):
         r = run_cli("mds", FIXTURES / "square.txt", "--dim", "1")
@@ -185,6 +223,13 @@ class TestVolumeAndHeron:
         assert "Traceback" not in r.stderr
         assert "nan" not in r.stdout and "inf" not in r.stdout
 
+
+    def test_volume_of_side_1e308_is_an_error(self, tmp_path):
+        f = tmp_path / "equilateral.txt"
+        f.write_text(EQUILATERAL_1E308)
+        r = run_cli("volume", f)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: volume of about 10^615.6 does not fit in a float\n"
 
     def test_volume_below_float_range_is_an_error(self, tmp_path):
         f = tmp_path / "tetra_1e-110.txt"
@@ -313,22 +358,25 @@ class TestMenger:
         assert lines[0] == "NOT-EMBEDDABLE subset=[0,1,2]"
         assert "flat(size=3): checked=1 failed=1" in lines
 
-    @pytest.mark.parametrize("kind", ["lifted", "perturbed"])
+    @pytest.mark.parametrize("kind", ["lifted", "perturbed", "collinear", "collinear-far"])
     def test_witness_search_on_500_points_is_bounded(self, tmp_path, kind):
-        space, must = large_space(kind)
+        space, must, dim = large_space(kind)
         f = tmp_path / f"{kind}.txt"
         f.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in space.d.d))
-        r = subprocess.run(
-            [sys.executable, "-m", "distgeo", "menger", str(f), "--dim", "3"],
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
+        r = run_cli("menger", f, "--dim", dim, timeout=30)
         assert (r.returncode, r.stderr) == (1, "")
         line = r.stdout.strip()
         assert line.startswith("NOT-EMBEDDABLE subset=[")
-        witness = {int(i) for i in line.split("[")[1].rstrip("]").split(",")}
-        assert len(witness) <= 6 and set(must) <= witness
+        witness = tuple(int(i) for i in line.split("[")[1].rstrip("]").split(","))
+        assert len(witness) <= dim + 3 and set(must) <= set(witness)
+        assert_inclusion_minimal(space, witness, dim)
+
+    def test_equilateral_triangle_of_side_1e308(self, tmp_path):
+        f = tmp_path / "equilateral.txt"
+        f.write_text(EQUILATERAL_1E308)
+        r = run_cli("menger", f, "--dim", "2")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout.splitlines()[0] == "EMBEDDABLE r=2"
 
     def test_semi_metric_violation(self, tmp_path):
         f = tmp_path / "zero_off.txt"

@@ -42,6 +42,12 @@ class TestClassifyEdm:
         v = classify_edm(validate_distance_matrix([[0.0]]))
         assert v.is_edm and v.dim == 0
 
+    def test_residue_past_the_float_range_is_zero(self):
+        # The smallest eigenvalue is rounding residue, about 1e-17 in units
+        # of 2^1023, and would otherwise saturate to +-inf.
+        v = classify_edm(validate_distance_matrix(1e308 * (np.ones((3, 3)) - np.eye(3))))
+        assert (v.is_edm, v.dim, v.witness_eigenvalue) == (True, 2, 0.0)
+
     def test_recovers_affine_rank(self):
         rng = np.random.default_rng(20)
         for _ in range(40):
@@ -88,6 +94,15 @@ class TestClassicalMds:
         result = classical_mds(validate_distance_matrix(SQUARE), dim_cap=1)
         assert result.inherent_dim == 1
         assert result.realization.k == 1
+
+    @pytest.mark.parametrize("k", [1e-146, 1e-150])
+    def test_residue_below_the_float_range_is_zero(self, k):
+        pts = np.random.default_rng(23).standard_normal((6, 2))
+        result = classical_mds(edm_from_realization(Realization(k * pts)))
+        # Residue that still fits is kept, and residue that does not is 0.0.
+        w = result.eigenvalues
+        assert result.inherent_dim == 2 and np.all(w[:2] > 0.0)
+        assert np.all(np.abs(w[2:]) <= 1e-9 * w[0]) and 0.0 in w[2:]
 
     def test_zero_matrix(self):
         result = classical_mds(validate_distance_matrix(np.zeros((3, 3))))

@@ -83,8 +83,45 @@ class TestValidateDistanceMatrix:
         with pytest.raises(ValueError):
             validate_distance_matrix([[0, np.nan], [np.nan, 0]])
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [[np.inf, 1.0], [1.0, 0.0]],
+            [[np.inf, 1.0], [2.0, 0.0]],
+            [[0.0, -np.inf], [-np.inf, 0.0]],
+            [[0.0, -np.inf], [3.0, 0.0]],
+        ],
+    )
+    def test_rejects_infinite_entries(self, raw):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_distance_matrix(raw)
+
+    def test_names_the_worst_offender(self):
+        with pytest.raises(AsymmetricMatrixError) as err:
+            validate_distance_matrix([[0, 1, 1], [2, 0, 1], [1, 5, 0]])
+        assert (err.value.index, err.value.delta) == ((1, 2), 4.0)
+        with pytest.raises(NonzeroDiagonalError) as err:
+            validate_distance_matrix([[0, 1, 1], [1, 2, 1], [1, 1, -3]])
+        assert (err.value.index, err.value.value) == (2, -3.0)
+        with pytest.raises(NegativeEntryError) as err:
+            validate_distance_matrix([[0, -1, 1], [-1, 0, -2], [1, -2, 0]])
+        assert (err.value.index, err.value.value) == ((1, 2), -2.0)
+
     def test_single_point_is_legal(self):
         assert validate_distance_matrix([[0.0]]).n == 1
+
+    def test_empty_matrix(self):
+        with pytest.raises(NonSquareError):
+            validate_distance_matrix(np.zeros((0, 0)))
+
+    def test_snaps_near_the_top_of_the_float_range(self):
+        # The sums and differences of these entries overflow.
+        raw = np.array([[-1e299, 1e308, 1e308], [1e308 * (1 + 1e-12), 0, 1e308], [1e308, 1e308, 0]])
+        d = validate_distance_matrix(raw)
+        np.testing.assert_allclose(d.d, 1e308 * (np.ones((3, 3)) - np.eye(3)), rtol=1e-12)
+        with pytest.raises(AsymmetricMatrixError) as err:
+            validate_distance_matrix([[0, 1e308], [-1e308, 0]])
+        assert (err.value.index, err.value.delta) == ((0, 1), np.inf)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-9])
     def test_asymmetry_is_judged_at_the_matrix_scale(self, scale):

@@ -88,25 +88,38 @@ witness_spaces = st.builds(
 
 
 def large_space(kind, n=500, seed=0):
-    """``(space, must)``: n points that do not embed in R^3, and the points
-    every witness must contain.
+    """``(space, must, dim)``: n points that do not embed in R^dim, and the
+    points every witness must contain.
 
     "lifted": generic points in a 3-flat, one of them, at a random index,
-    lifted off it.  "perturbed": generic points in R^3 with the distance of
-    one random pair lengthened by 1e-3 of itself, so the space is not
-    Euclidean.
+    lifted off it; dim 3.  "perturbed": generic points in R^3 with the
+    distance of one random pair lengthened by 1e-3 of itself, so the space
+    is not Euclidean; dim 3.  "collinear": points at integer positions on a
+    line, the adjacent pair at 0 and 1 labelled last and its distance
+    lengthened by 10 %; dim 2, where the greedy pass meets no point off the
+    line through points 0 and 1.  "collinear-far": the same line labelled in
+    position order, so the stretched pair lies at the far end from points 0
+    and 1; from n = 100 up, every set of 0, 1 and two more points passes the
+    rank cut.
     """
     rng = np.random.default_rng(seed)
+    if kind.startswith("collinear"):
+        x = np.arange(float(n))
+        if kind == "collinear":
+            x = np.roll(x, -2)
+        d = np.abs(x[:, None] - x[None, :])
+        d[n - 2, n - 1] = d[n - 1, n - 2] = 1.1
+        return FiniteSemiMetricSpace(tuple(range(n)), DistanceMatrix(d)), (n - 2, n - 1), 2
     pts = np.zeros((n, 4))
     pts[:, :3] = rng.standard_normal((n, 3))
     if kind == "lifted":
         lifted = int(rng.integers(n))
         pts[lifted, 3] = 1.0
-        return FiniteSemiMetricSpace(tuple(range(n)), DistanceMatrix(_edm(pts))), (lifted,)
+        return FiniteSemiMetricSpace(tuple(range(n)), DistanceMatrix(_edm(pts))), (lifted,), 3
     d = np.array(_edm(pts))
     p, q = sorted(int(i) for i in rng.choice(n, 2, replace=False))
     d[p, q] = d[q, p] = d[p, q] * (1 + 1e-3)
-    return FiniteSemiMetricSpace(tuple(range(n)), DistanceMatrix(d)), (p, q)
+    return FiniteSemiMetricSpace(tuple(range(n)), DistanceMatrix(d)), (p, q), 3
 
 
 def embeds(s, subset, dim):
@@ -204,17 +217,17 @@ def test_anchored_witness_is_inclusion_minimal(case):
         assert_inclusion_minimal(s, witness, dim)
 
 
-@pytest.mark.parametrize("kind", ["lifted", "perturbed"])
+@pytest.mark.parametrize("kind", ["lifted", "perturbed", "collinear", "collinear-far"])
 def test_anchored_witness_on_a_large_space(monkeypatch, kind):
-    s, must = large_space(kind, n=40)
+    s, must, dim = large_space(kind, n=100 if kind == "collinear-far" else 40)
     monkeypatch.setattr(semimetric, "_WITNESS_BUDGET", 0)
     if kind == "lifted":
         d2, _ = semimetric._unit_squares(s.d.d)
-        witness = semimetric._anchored_witness(d2, 3, semimetric.DEFAULT_TOLERANCES)
+        witness = semimetric._anchored_witness(d2, dim, semimetric.DEFAULT_TOLERANCES)
     else:
-        witness = congruently_embeddable(s, 3).failing_subset
+        witness = congruently_embeddable(s, dim).failing_subset
     assert set(must) <= set(witness)
-    assert_inclusion_minimal(s, witness, 3)
+    assert_inclusion_minimal(s, witness, dim)
 
 
 @pytest.fixture
@@ -232,26 +245,39 @@ def classified_rows(monkeypatch):
 
 
 def test_lifted_witness_search_is_linear(classified_rows):
-    n, dim = 500, 3
-    s, (lifted,) = large_space("lifted", n)
+    s, (lifted,), dim = large_space("lifted")
     witness = congruently_embeddable(s, dim).failing_subset
     # Points 0-3 span the flat, so only the lifted point raises the rank.
     assert witness == (0, 1, 2, 3, max(lifted, 4))
-    assert classified_rows[0] <= dim * n
+    assert classified_rows[0] <= dim * s.n
 
 
-def test_non_euclidean_witness_search_is_bounded(classified_rows):
-    n, dim = 500, 3
-    s, (p, q) = large_space("perturbed", n)
+def assert_anchored_search_is_bounded(classified_rows, kind):
+    s, must, dim = large_space(kind)
+    n = s.n
     assert not classify_edm(s.d).is_edm
     # Every triangle passes, so the lexicographic scan runs past its budget.
-    assert all(embeds(s, sorted({p, q, r}), dim) for r in range(n) if r not in (p, q))
+    assert all(embeds(s, sorted({*must, r}), dim) for r in range(n) if r not in must)
     witness = congruently_embeddable(s, dim).failing_subset
-    assert {p, q} <= set(witness)
+    assert set(must) <= set(witness)
     assert_inclusion_minimal(s, witness, dim)
     budget = semimetric._WITNESS_BUDGET + semimetric._CHUNK_CAP
     anchored = dim * n + n + math.comb(n, 2) + 2 ** (dim + 3)
     assert budget < classified_rows[0] <= budget + anchored
+
+
+def test_non_euclidean_witness_search_is_bounded(classified_rows):
+    assert_anchored_search_is_bounded(classified_rows, "perturbed")
+
+
+def test_witness_search_from_a_smaller_anchor_is_bounded(classified_rows):
+    # The greedy pass meets no point off the line, so the anchor is (0, 1).
+    assert_anchored_search_is_bounded(classified_rows, "collinear")
+
+
+def test_witness_search_past_every_anchored_set_is_bounded(classified_rows):
+    # No anchored set fails, so the whole line is shrunk by deletion.
+    assert_anchored_search_is_bounded(classified_rows, "collinear-far")
 
 
 def _invariants(s, dim):
