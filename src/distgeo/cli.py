@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .embedding import TrilaterationProblem, classical_mds, classify_edm, trilaterate
+# Each command imports the library modules it runs when it runs: a command is
+# a fresh process whose time goes mostly to imports, so signs and euler never
+# load numpy.  Only the errors that the commands and main() catch load here.
 from .errors import (
     DistanceGeometryError,
     InfeasibleError,
@@ -28,17 +29,11 @@ from .errors import (
     NoSolutionError,
     NotApplicableError,
 )
-from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Realization, Tolerances
-from .matrices import _in_units, _unit_squares, validate_distance_matrix
-from .rigidity import PolyhedralCounts, cyclic_sign_changes, euler_characteristic_holds
-from .semimetric import (
-    MENGER_SUBSET_CAP,
-    congruently_embeddable,
-    validate_semi_metric,
-    verify_menger_criterion,
-)
-from .simplex import SimplexSides, TriangleSides, heron_area, simplex_volume
-from .sphere import GeodesicTetrahedron, embed_on_sphere
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .matrices import Tolerances
 
 __all__ = ["main"]
 
@@ -57,9 +52,7 @@ def fmt12(value: float) -> str:
     value = float(value) + 0.0
     if not math.isfinite(value):
         return str(value)
-    mantissa, exponent = np.format_float_scientific(
-        value, precision=11, unique=False, trim="k"
-    ).split("e")
+    mantissa, exponent = format(value, ".11e").split("e")
     sign = "-" if value < 0 else ""
     digits = mantissa.lstrip("-").replace(".", "")
     e = int(exponent)
@@ -71,6 +64,8 @@ def fmt12(value: float) -> str:
 
 def read_table(path: str) -> np.ndarray:
     """Rectangular numeric table from a text file ('#' lines ignored)."""
+    import numpy as np
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -111,6 +106,8 @@ def read_square_matrix(path: str) -> np.ndarray:
 
 
 def _tolerances(args) -> Tolerances:
+    from .matrices import DEFAULT_TOLERANCES, Tolerances
+
     override = getattr(args, "tol", None)
     if override is None:
         return DEFAULT_TOLERANCES
@@ -123,6 +120,9 @@ def _print_coords(coords: np.ndarray, stream) -> None:
 
 
 def cmd_check_edm(args) -> int:
+    from .embedding import classify_edm
+    from .matrices import DistanceMatrix, _in_units, _unit_squares, validate_distance_matrix
+
     d = validate_distance_matrix(read_square_matrix(args.matrix), _tolerances(args))
     # In units of the largest distance, so a witness past the float range is an error.
     _, unit = _unit_squares(d.d)
@@ -136,6 +136,9 @@ def cmd_check_edm(args) -> int:
 
 
 def cmd_mds(args) -> int:
+    from .embedding import classical_mds
+    from .matrices import validate_distance_matrix
+
     d = validate_distance_matrix(read_square_matrix(args.matrix), _tolerances(args))
     result = classical_mds(d, _tolerances(args), dim_cap=args.dim)
     print("eigenvalues:\t" + "\t".join(fmt12(v) for v in result.eigenvalues))
@@ -149,6 +152,9 @@ def cmd_mds(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    from .matrices import validate_distance_matrix
+    from .simplex import SimplexSides, simplex_volume
+
     d = validate_distance_matrix(read_square_matrix(args.matrix), _tolerances(args))
     try:
         volume = simplex_volume(SimplexSides(d), _tolerances(args))
@@ -160,6 +166,8 @@ def cmd_volume(args) -> int:
 
 
 def cmd_heron(args) -> int:
+    from .simplex import TriangleSides, heron_area
+
     triangle = TriangleSides(args.a, args.b, args.c)
     try:
         area = heron_area(triangle)
@@ -171,6 +179,11 @@ def cmd_heron(args) -> int:
 
 
 def cmd_trilaterate(args) -> int:
+    import numpy as np
+
+    from .embedding import TrilaterationProblem, trilaterate
+    from .matrices import Realization
+
     anchors = read_table(args.anchors)
     try:
         dists = np.array([float(t) for t in args.dists.split(",") if t.strip()])
@@ -187,6 +200,9 @@ def cmd_trilaterate(args) -> int:
 
 
 def cmd_sphere_embed(args) -> int:
+    from .matrices import validate_distance_matrix
+    from .sphere import GeodesicTetrahedron, embed_on_sphere
+
     m = read_square_matrix(args.matrix)
     if m.shape != (4, 4):
         raise CliInputError(
@@ -208,6 +224,13 @@ def cmd_sphere_embed(args) -> int:
 
 
 def cmd_menger(args) -> int:
+    from .semimetric import (
+        MENGER_SUBSET_CAP,
+        congruently_embeddable,
+        validate_semi_metric,
+        verify_menger_criterion,
+    )
+
     space = validate_semi_metric(read_square_matrix(args.matrix), tol=_tolerances(args))
     verdict = congruently_embeddable(space, args.dim, _tolerances(args))
     code = 0
@@ -239,11 +262,15 @@ def cmd_menger(args) -> int:
 
 
 def cmd_signs(args) -> int:
+    from .rigidity import cyclic_sign_changes
+
     print(cyclic_sign_changes(args.entries))
     return 0
 
 
 def cmd_euler(args) -> int:
+    from .rigidity import PolyhedralCounts, euler_characteristic_holds
+
     counts = PolyhedralCounts(args.V, args.E, args.F)
     chi = counts.vertices + counts.faces - counts.edges
     if euler_characteristic_holds(counts):

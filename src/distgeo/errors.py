@@ -2,6 +2,27 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "DistanceGeometryError",
+    "MatrixValidationError",
+    "NonSquareError",
+    "AsymmetricMatrixError",
+    "NegativeEntryError",
+    "NonzeroDiagonalError",
+    "ZeroOffDiagonalError",
+    "NoConvergenceError",
+    "NotPSDInputError",
+    "InfeasibleError",
+    "FloatRangeError",
+    "SizeMismatchError",
+    "TooLargeError",
+    "DependentAnchorsError",
+    "NoSolutionError",
+    "GeodesicTooLongError",
+    "NotRealizableError",
+    "NotApplicableError",
+]
+
 
 class DistanceGeometryError(Exception):
     """Base class for every toolkit-specific error."""

@@ -64,6 +64,9 @@ class Tolerances:
     rank_tol : cutoff, relative to the spectral radius, below which
         eigenvalues count as zero.
     dist_tol : relative threshold for distance comparisons.
+
+    Both lie strictly between 0 and 1: a relative cutoff of 1 or more
+    counts every eigenvalue as zero and every distance as equal.
     """
 
     rank_tol: float = 1e-9
@@ -72,8 +75,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_tol", "dist_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not (isinstance(value, (int, float)) and 0 < value < 1):
+                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -434,15 +434,31 @@ def test_fmt12_prints_12_significant_digits(value, text):
     assert fmt12(value) == text
 
 
+# A relative cutoff of 1 or more zeroes every spectrum: the triangle-inequality
+# violation printed "EDM r=0" and the tetrahedron "EMBEDDABLE r=0" in the plane.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check-edm", FIXTURES / "triangle113.txt", "--tol", "inf"),
+        ("menger", FIXTURES / "tetra_unit.txt", "--dim", "2", "--tol", "1e300"),
+    ],
+)
+def test_tolerance_of_one_or_more_is_an_error(args):
+    r = run_cli(*args)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: rank_tol must lie strictly between 0 and 1, got ")
+
+
 class TestLibraryErrors:
     def test_unhandled_library_error_exits_2(self, monkeypatch, capsys):
-        from distgeo import cli
+        from distgeo import cli, embedding
         from distgeo.errors import NotRealizableError
 
         def fail(*args, **kwargs):
             raise NotRealizableError(-1.0)
 
-        monkeypatch.setattr(cli, "classify_edm", fail)
+        # check-edm imports classify_edm from its module when it runs.
+        monkeypatch.setattr(embedding, "classify_edm", fail)
         code = cli.main(["check-edm", str(FIXTURES / "triangle345.txt")])
         captured = capsys.readouterr()
         assert code == 2

@@ -1,0 +1,70 @@
+"""What importing the package and running a command loads.
+
+Each CLI command is a fresh interpreter, so its start-up time is mostly the
+modules it imports.  ``import distgeo`` loads no submodule, and a command
+loads only the modules it runs: ``signs`` and ``euler`` never load numpy.
+The checks run in child processes, because this one has loaded everything.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import distgeo
+
+SUBMODULES = ("errors", "matrices", "simplex", "embedding", "semimetric", "sphere", "rigidity")
+
+
+def loaded_after(code):
+    """Sorted names of numpy and distgeo submodules loaded after running code."""
+    probe = (
+        f"import sys\n{code}\n"
+        "import json\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'numpy' or m.startswith('distgeo.'))))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    assert loaded_after("import distgeo") == []
+    # A submodule is still an attribute of the package, loaded on first use.
+    assert loaded_after("import distgeo\ndistgeo.rigidity") == ["distgeo.rigidity"]
+
+
+@pytest.mark.parametrize("argv", [["signs", "1", "-1", "0"], ["euler", "8", "12", "6"]])
+def test_rigidity_commands_leave_numpy_unloaded(argv):
+    loaded = loaded_after(f"from distgeo import cli\ncli.main({argv!r})")
+    assert loaded == ["distgeo.cli", "distgeo.errors", "distgeo.rigidity"]
+
+
+def test_heron_loads_only_simplex_and_matrices():
+    loaded = loaded_after("from distgeo import cli\ncli.main(['heron', '3', '4', '5'])")
+    assert not {"distgeo.semimetric", "distgeo.sphere", "distgeo.embedding"} & set(loaded)
+    assert {"numpy", "distgeo.simplex", "distgeo.matrices"} <= set(loaded)
+
+
+def test_exports_are_the_submodules_own_names():
+    union = []
+    for short in SUBMODULES:
+        module = importlib.import_module(f"distgeo.{short}")
+        union += module.__all__
+        for name in module.__all__:
+            assert getattr(distgeo, name) is getattr(module, name)
+    assert sorted(distgeo.__all__) == sorted(union)
+    assert len(set(union)) == len(union)
+    namespace = {}
+    exec("from distgeo import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(distgeo.__all__)
+    assert set(distgeo.__all__) | set(SUBMODULES) <= set(dir(distgeo))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        distgeo.no_such_name
+    with pytest.raises(ImportError):
+        exec("from distgeo import no_such_name", {})

@@ -43,7 +43,7 @@ class TestTolerances:
         assert tol.rank_tol == 1e-9
         assert tol.dist_tol == 1e-8
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-9])
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, 1e300, np.inf])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             Tolerances(rank_tol=bad)
