@@ -45,7 +45,9 @@ class EdmClassification:
     matrix; it is significantly negative exactly when the verdict is
     negative.  It is computed in units of the largest distance and scaled
     back, so past the float range it saturates to -inf or 0.0 while the
-    verdict stays exact; within the rank cut it is 0.0 instead.
+    verdict stays exact.  Within the rank cut it is the rounding residue,
+    of either sign (5.9e-16 for the 3-4-5 triangle), and 0.0 only when that
+    residue leaves the float range (the same triangle scaled by 1e-160).
     """
 
     is_edm: bool

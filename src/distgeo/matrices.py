@@ -12,6 +12,7 @@ and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -272,14 +273,13 @@ def _in_units(value, unit: float, power: int, quantity: str, residue=False):
 
 
 def _center(d2: np.ndarray) -> np.ndarray:
-    """-1/2 J d2 J over the last two axes, symmetrized, with J = I - (1/n) 11^T.
-
-    ``d2`` holds squared distances, one matrix or a stack of them.
-    """
-    n = d2.shape[-1]
+    """-1/2 J d2 J, symmetrized, with J = I - (1/n) 11^T, for a matrix ``d2``
+    of squared distances: the n-by-n centered Gram, whose full spectrum and
+    eigenvectors :func:`_factor_gram` needs."""
+    n = d2.shape[0]
     j = np.eye(n) - np.full((n, n), 1.0 / n)
     g = -0.5 * (j @ d2 @ j)
-    return 0.5 * (g + g.swapaxes(-1, -2))
+    return 0.5 * (g + g.T)
 
 
 def double_center(D: DistanceMatrix) -> GramMatrix:
@@ -343,10 +343,39 @@ def _rank_cut(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     return rank, w[..., -1] >= -threshold
 
 
+@functools.lru_cache(maxsize=16)
+def _helmert(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(L, R)`` for k points: R is the k-by-(k-1) Helmert basis of the
+    complement of the all-ones vector, column j being (1, ..., 1, -j, 0, ...)
+    with j ones, over sqrt(j (j+1)); L = -1/2 R^T.  Both read-only."""
+    j = np.arange(1.0, k)
+    r = np.triu(np.ones((k, k - 1)))
+    r[np.arange(1, k), np.arange(k - 1)] = -j
+    r /= np.sqrt(j * (j + 1.0))
+    left = -0.5 * r.T
+    r.setflags(write=False)
+    left.setflags(write=False)
+    return left, r
+
+
 def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Numerical ranks and EDM flags of a stack of squared distance matrices,
-    as ``classify_edm`` gives them: one batched eigvalsh, the shared rank cut."""
-    w = np.linalg.eigvalsh(_center(d2))[..., ::-1]
+    as ``classify_edm`` gives them: one batched eigvalsh, the shared rank cut.
+
+    Each matrix is projected onto the complement of the all-ones vector,
+    -1/2 R^T d2 R with R the :func:`_helmert` basis, a (k-1)-by-(k-1) Gram
+    matrix.  Its spectrum is the centered Gram's less the eigenvalue of the
+    centering null vector, which is rounding residue far inside the rank
+    cut (Schoenberg's criterion in Gower's form, Lin. Alg. Appl. 67, 1985).
+    Dropping it leaves the spectral radius, and so the cut, the rank and the
+    PSD flag, what the k-by-k spectrum gives.  A single point is an EDM of
+    rank 0.
+    """
+    k = d2.shape[-1]
+    if k == 1:
+        return np.zeros(d2.shape[:-2], dtype=int), np.ones(d2.shape[:-2], dtype=bool)
+    left, right = _helmert(k)
+    w = np.linalg.eigvalsh(left @ d2 @ right)[..., ::-1]
     return _rank_cut(w, tol)
 
 

@@ -11,6 +11,7 @@ bordered determinants on all (n+2)- and (n+3)-point subsets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
@@ -234,12 +235,31 @@ def find_congruence(
     return None
 
 
+def _submatrices(d2: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (S, k, k) stack of squared sub-matrices of ``d2`` on the rows of
+    an (S, k) index array, with no re-validation."""
+    return d2[rows[:, :, None], rows[:, None, :]]
+
+
 def _gather(d2: np.ndarray, subsets, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, stack)`` for an iterable of size-k subsets: the (S, k) index
-    array and the (S, k, k) stack of squared sub-matrices gathered from
-    ``d2``, with no re-validation."""
+    array and its :func:`_submatrices`."""
     rows = np.array(list(subsets), dtype=np.intp).reshape(-1, k)
-    return rows, d2[rows[:, :, None], rows[:, None, :]]
+    return rows, _submatrices(d2, rows)
+
+
+@functools.lru_cache(maxsize=256)
+def _combination_rows(n: int, k: int) -> np.ndarray:
+    """Read-only (C(n, k), k) array of ``combinations(range(n), k)``, in order.
+
+    Cached per (n, k): the Menger report asks for the same few sizes of
+    spaces of at most MENGER_SUBSET_CAP points again and again.
+    """
+    count = math.comb(n, k)
+    flat = chain.from_iterable(combinations(range(n), k))
+    rows = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+    rows.setflags(write=False)
+    return rows
 
 
 def _chunks(d2: np.ndarray, subsets, k: int):
@@ -421,7 +441,8 @@ def verify_menger_criterion(
     d2, _ = _unit_squares(s.d.d)
 
     def subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
-        return _gather(d2, combinations(range(n), k), k)
+        rows = _combination_rows(n, k)
+        return rows, _submatrices(d2, rows)
 
     def failures(rows: np.ndarray, failing: np.ndarray) -> tuple:
         return tuple(map(tuple, rows[failing].tolist()))

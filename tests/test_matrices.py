@@ -6,7 +6,10 @@ and against spectra known by hand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distgeo.embedding import classify_edm
 from distgeo.errors import (
     AsymmetricMatrixError,
     FloatRangeError,
@@ -28,6 +31,8 @@ from distgeo.matrices import (
     realization_from_gram,
     schoenberg_gram,
     symmetric_eigendecomposition,
+    _classify_stack,
+    _helmert,
     validate_distance_matrix,
 )
 
@@ -257,6 +262,60 @@ class TestEigendecomposition:
         dec = symmetric_eigendecomposition(a)
         again = np.sort(np.linalg.eigvalsh(dec.reconstruct()))[::-1]
         np.testing.assert_allclose(dec.eigenvalues, again, atol=1e-12)
+
+
+def stack_case(kind, k, seed):
+    """Eight k-point distance matrices of one kind, each in a unit 10^u, u in
+    [-6, 6]: "edm" spans rank 1 to k-1, "planted" stretches one pair of such
+    an EDM by 0.1 % to 100 %, "lift" lifts one point of a planar set 1e-6 to
+    1 off its plane."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(8):
+        dims = 2 if kind == "lift" else int(rng.integers(1, max(k, 2)))
+        pts = np.zeros((k, dims + 1))
+        pts[:, :dims] = rng.standard_normal((k, dims))
+        if kind == "lift":
+            pts[int(rng.integers(k)), dims] = 10 ** rng.uniform(-6, 0)
+        d = np.array(edm_from_realization(Realization(pts)).d)
+        if kind == "planted" and k > 1:
+            i, j = rng.choice(k, 2, replace=False)
+            d[i, j] = d[j, i] = d[i, j] * (1 + 10 ** rng.uniform(-3, 0))
+        out.append(DistanceMatrix(d * 10 ** rng.uniform(-6, 6)))
+    return out
+
+
+def clear_of_cut(D, tol):
+    """No eigenvalue of the centered Gram lies within [0.1, 10] times the
+    rank cut, where rounding could put one on either side of it."""
+    w = symmetric_eigendecomposition(double_center(D)).eigenvalues
+    rho = max(w[0], -w[-1])
+    return not np.any((np.abs(w) > 0.1 * tol.rank_tol * rho) & (np.abs(w) < 10 * tol.rank_tol * rho))
+
+
+class TestClassifyStack:
+    @pytest.mark.parametrize("k", [*range(2, 10), 300])
+    def test_basis_is_orthonormal_and_orthogonal_to_ones(self, k):
+        left, right = _helmert(k)
+        assert right.shape == (k, k - 1)
+        np.testing.assert_allclose(right.T @ right, np.eye(k - 1), atol=1e-14)
+        np.testing.assert_allclose(np.ones(k) @ right, 0.0, atol=1e-13)
+        np.testing.assert_array_equal(left, -0.5 * right.T)
+        assert not left.flags.writeable and not right.flags.writeable
+
+    def test_single_point_is_an_edm_of_rank_0(self):
+        rank, is_edm = _classify_stack(np.zeros((3, 1, 1)), Tolerances())
+        assert rank.tolist() == [0, 0, 0]
+        assert is_edm.tolist() == [True, True, True]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from(["edm", "planted", "lift"]), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_matches_classify_edm_matrix_by_matrix(self, kind, k, seed):
+        tol = Tolerances()
+        ds = [D for D in stack_case(kind, k, seed) if clear_of_cut(D, tol)]
+        rank, is_edm = _classify_stack(np.array([D.d**2 for D in ds]).reshape(-1, k, k), tol)
+        want = [(c.dim, c.is_edm) for c in map(classify_edm, ds)]
+        assert list(zip(rank.tolist(), is_edm.tolist())) == want
 
 
 class TestPsdVerdict:

@@ -230,6 +230,45 @@ def test_anchored_witness_on_a_large_space(monkeypatch, kind):
     assert_inclusion_minimal(s, witness, dim)
 
 
+def assert_witness_has_at_most_dim_plus_3_points(s, dim):
+    with mock.patch.object(semimetric, "_WITNESS_BUDGET", 0):
+        verdict = congruently_embeddable(s, dim)
+    if not verdict.embeddable:
+        assert len(verdict.failing_subset) <= dim + 3
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(witness_spaces)
+def test_witness_past_the_budget_has_at_most_dim_plus_3_points(case):
+    assert_witness_has_at_most_dim_plus_3_points(*case)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    st.sampled_from(["lifted", "perturbed", "collinear", "collinear-far"]),
+    st.integers(50, 200),
+    st.integers(0, 2**32 - 1),
+)
+def test_witness_on_a_large_space_has_at_most_dim_plus_3_points(kind, n, seed):
+    s, _, dim = large_space(kind, n=n, seed=seed)
+    assert_witness_has_at_most_dim_plus_3_points(s, dim)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_combination_rows_are_the_lexicographic_combinations(n):
+    for k in range(n + 4):
+        rows = semimetric._combination_rows(n, k)
+        assert rows.shape == (math.comb(n, k), k)
+        assert list(map(tuple, rows.tolist())) == list(combinations(range(n), k))
+
+
+def test_combination_rows_are_read_only():
+    rows = semimetric._combination_rows(6, 3)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 5
+    assert semimetric._combination_rows(6, 3)[0].tolist() == [0, 1, 2]
+
+
 @pytest.fixture
 def classified_rows(monkeypatch):
     """Counts the subsets the witness search passes to ``_classify_stack``."""
