@@ -121,16 +121,17 @@ def _print_coords(coords: np.ndarray, stream) -> None:
 
 def cmd_check_edm(args) -> int:
     from .embedding import classify_edm
-    from .matrices import DistanceMatrix, _in_units, _unit_squares, validate_distance_matrix
+    from .matrices import _in_units, validate_distance_matrix
 
     d = validate_distance_matrix(read_square_matrix(args.matrix), _tolerances(args))
-    # In units of the largest distance, so a witness past the float range is an error.
-    _, unit = _unit_squares(d.d)
-    verdict = classify_edm(DistanceMatrix(d.d / unit), _tolerances(args))
+    verdict = classify_edm(d, _tolerances(args))
     if verdict.is_edm:
         print(f"EDM r={verdict.dim}")
         return 0
-    witness = _in_units(verdict.witness_eigenvalue, unit, 2, "eigenvalue")
+    # Scaled back from the unit-space spectrum classify_edm factored, so a
+    # witness past the float range is an error rather than -inf.
+    unit, dec = d._spectrum
+    witness = _in_units(float(dec.eigenvalues[-1]), unit, 2, "eigenvalue")
     print(f"NOT-EDM lambda_min={fmt12(witness)}")
     return 1
 

@@ -18,12 +18,11 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
-    _center,
     _factor_gram,
     _in_units,
+    _pairwise_distances,
     _threshold,
     _unit_squares,
-    edm_from_realization,
 )
 
 __all__ = [
@@ -99,8 +98,8 @@ def classify_edm(D: DistanceMatrix, tol: Tolerances | None = None) -> EdmClassif
     minimal embedding dimension is that matrix's rank.
     """
     tol = tol or DEFAULT_TOLERANCES
-    d2, unit = _unit_squares(D.d)
-    w, verdict, _ = _factor_gram(_center(d2), tol)
+    unit, dec = D._spectrum
+    w, verdict, _ = _factor_gram(dec, tol)
     if abs(w[-1]) <= _threshold(w, tol):
         witness = float(_in_units(w[-1], unit, 2, "eigenvalue", residue=True))
     else:
@@ -138,14 +137,12 @@ def classical_mds(
     raises FloatRangeError above the rank cut and is 0.0 within it.
     """
     tol = tol or DEFAULT_TOLERANCES
-    d2, unit = _unit_squares(D.d)
-    w, _, coords = _factor_gram(_center(d2), tol)
-    if dim_cap is not None:
-        if dim_cap < 0:
-            raise ValueError("dim_cap must be nonnegative")
-        coords = coords[:, :dim_cap]
-    realized = edm_from_realization(Realization(coords))
-    residual = _max_relative_distance_error(realized.d, D.d / unit)
+    if dim_cap is not None and dim_cap < 0:
+        raise ValueError("dim_cap must be nonnegative")
+    unit, dec = D._spectrum
+    w, _, coords = _factor_gram(dec, tol)
+    coords = coords[:, :dim_cap]
+    residual = _max_relative_distance_error(_pairwise_distances(coords), D.d / unit)
     w = _in_units(w, unit, 2, "eigenvalue", residue=np.abs(w) <= _threshold(w, tol))
     return MdsResult(Realization(coords * unit), w, coords.shape[1], residual)
 

@@ -89,7 +89,8 @@ class DistanceMatrix:
 
     The constructor enforces the invariants exactly; use
     :func:`validate_distance_matrix` to admit raw data with floating-point
-    slack.
+    slack.  The spectrum of the centered Gram matrix is computed on first
+    use and kept for the matrix's lifetime (:attr:`_spectrum`).
     """
 
     d: np.ndarray
@@ -116,6 +117,16 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return self.d.shape[0]
+
+    @functools.cached_property
+    def _spectrum(self) -> tuple[float, "SpectralDecomposition"]:
+        """``(unit, spectrum)`` of the centered Gram matrix -1/2 J D^2 J in
+        units of the largest distance (:func:`_unit_squares`): the one
+        eigendecomposition behind classify_edm, classical_mds and
+        congruently_embeddable.  Free of tolerances, so each caller takes
+        its own rank cut.  Its arrays are read-only, like ``d``."""
+        d2, unit = _unit_squares(self.d)
+        return unit, symmetric_eigendecomposition(_center(d2))
 
     def restrict(self, indices) -> "DistanceMatrix":
         """Sub-matrix on the given point indices (order preserved)."""
@@ -275,7 +286,7 @@ def _in_units(value, unit: float, power: int, quantity: str, residue=False):
 def _center(d2: np.ndarray) -> np.ndarray:
     """-1/2 J d2 J, symmetrized, with J = I - (1/n) 11^T, for a matrix ``d2``
     of squared distances: the n-by-n centered Gram, whose full spectrum and
-    eigenvectors :func:`_factor_gram` needs."""
+    eigenvectors :attr:`DistanceMatrix._spectrum` holds."""
     n = d2.shape[0]
     j = np.eye(n) - np.full((n, n), 1.0 / n)
     g = -0.5 * (j @ d2 @ j)
@@ -380,15 +391,15 @@ def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
 
 
 def _factor_gram(
-    g: GramMatrix | np.ndarray, tol: Tolerances
+    dec: SpectralDecomposition, tol: Tolerances
 ) -> tuple[np.ndarray, PsdVerdict, np.ndarray]:
-    """Spectrum, PSD verdict and coordinate columns of a Gram matrix.
+    """Spectrum, PSD verdict and coordinate columns of a Gram matrix's
+    spectral decomposition.
 
     The rank comes from :func:`_rank_cut`.  The coordinate columns are the
     eigenvectors of the eigenvalues above the cut, scaled by their square
     roots.
     """
-    dec = symmetric_eigendecomposition(g)
     w = dec.eigenvalues
     rank, is_psd = _rank_cut(w, tol)
     rank = int(rank)
@@ -404,7 +415,7 @@ def psd_verdict(g: GramMatrix | np.ndarray, tol: Tolerances | None = None) -> Ps
     ``-rank_tol * max(|lambda_max|, |lambda_min|)``; the rank counts
     eigenvalues above the same threshold.
     """
-    _, verdict, _ = _factor_gram(g, tol or DEFAULT_TOLERANCES)
+    _, verdict, _ = _factor_gram(symmetric_eigendecomposition(g), tol or DEFAULT_TOLERANCES)
     return verdict
 
 
@@ -415,7 +426,7 @@ def realization_from_gram(g: GramMatrix, tol: Tolerances | None = None) -> Reali
     ambient dimension equals the numerical rank.  Raises NotPSDInputError
     when the matrix has a significantly negative eigenvalue.
     """
-    _, verdict, coords = _factor_gram(g, tol or DEFAULT_TOLERANCES)
+    _, verdict, coords = _factor_gram(symmetric_eigendecomposition(g), tol or DEFAULT_TOLERANCES)
     if not verdict.is_psd:
         raise NotPSDInputError(verdict.min_eigenvalue)
     return Realization(coords)
@@ -427,11 +438,16 @@ def gram_from_realization(x: Realization) -> GramMatrix:
     return GramMatrix(0.5 * (g + g.T))
 
 
+def _pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """Distances between the rows of x, computed in units of their extent."""
+    # The differences are antisymmetric, so the largest is the largest in size.
+    d2, unit = _unit_squares(x[:, None, :] - x[None, :, :])
+    return np.sqrt(d2.sum(axis=-1)) * unit
+
+
 def edm_from_realization(x: Realization) -> DistanceMatrix:
     """Euclidean distance matrix of the rows of x, in units of their extent."""
-    # The differences are antisymmetric, so the largest is the largest in size.
-    d2, unit = _unit_squares(x.coords[:, None, :] - x.coords[None, :, :])
-    return DistanceMatrix(np.sqrt(d2.sum(axis=-1)) * unit)
+    return DistanceMatrix(_pairwise_distances(x.coords))
 
 
 def center_realization(x: Realization) -> Realization:

@@ -24,7 +24,6 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
-    _center,
     _classify_stack,
     _factor_gram,
     _unit_squares,
@@ -395,10 +394,11 @@ def congruently_embeddable(
     tol = tol or DEFAULT_TOLERANCES
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
-    d2, unit = _unit_squares(s.d.d)
-    _, verdict, coords = _factor_gram(_center(d2), tol)
+    unit, dec = s.d._spectrum
+    _, verdict, coords = _factor_gram(dec, tol)
     if verdict.is_psd and verdict.rank <= dim:
         return EmbeddabilityVerdict(True, dim, realization=Realization(coords * unit))
+    d2, _ = _unit_squares(s.d.d)
     if verdict.is_psd:
         chosen, failing = _greedy(d2, dim + 2, tol)
         if failing is None and len(chosen) == dim + 2:

@@ -32,7 +32,6 @@ from .matrices import (
     Realization,
     Tolerances,
     _anchor,
-    _center,
     _classify_stack,
     _factor_gram,
     _unit_squares,
@@ -156,8 +155,8 @@ def chord_length(alpha: float, x: float) -> float:
 
 def _realize_chords(c: np.ndarray, tol: Tolerances) -> tuple[Realization, int]:
     """Realize six chord lengths as 4 points in R^3, plus the affine rank."""
-    d2, unit = _unit_squares(DistanceMatrix(_pair_matrices(c)).d)
-    _, verdict, columns = _factor_gram(_center(d2), tol)
+    unit, dec = DistanceMatrix(_pair_matrices(c))._spectrum
+    _, verdict, columns = _factor_gram(dec, tol)
     if not verdict.is_psd or verdict.rank > 3:
         raise NotRealizableError(verdict.min_eigenvalue * unit * unit)
     coords = np.zeros((4, 3))

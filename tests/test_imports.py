@@ -10,6 +10,7 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,13 @@ def test_heron_loads_only_simplex_and_matrices():
     loaded = loaded_after("from distgeo import cli\ncli.main(['heron', '3', '4', '5'])")
     assert not {"distgeo.semimetric", "distgeo.sphere", "distgeo.embedding"} & set(loaded)
     assert {"numpy", "distgeo.simplex", "distgeo.matrices"} <= set(loaded)
+
+
+@pytest.mark.parametrize("command", ["check-edm", "mds"])
+def test_spectral_commands_load_only_embedding_and_matrices(command):
+    matrix = str(Path(__file__).parent / "fixtures" / "triangle345.txt")
+    loaded = loaded_after(f"from distgeo import cli\ncli.main([{command!r}, {matrix!r}])")
+    assert loaded == ["distgeo.cli", "distgeo.embedding", "distgeo.errors", "distgeo.matrices", "numpy"]
 
 
 def test_exports_are_the_submodules_own_names():
