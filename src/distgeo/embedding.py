@@ -21,8 +21,10 @@ from .matrices import (
     _factor_gram,
     _in_units,
     _pairwise_distances,
+    _readonly,
     _threshold,
     _unit_squares,
+    _ValueRecord,
 )
 
 __all__ = [
@@ -54,8 +56,8 @@ class EdmClassification:
     witness_eigenvalue: float
 
 
-@dataclass(frozen=True)
-class MdsResult:
+@dataclass(frozen=True, eq=False)
+class MdsResult(_ValueRecord):
     """Outcome of classical multidimensional scaling.
 
     ``eigenvalues`` is the full descending spectrum of the centered Gram
@@ -70,9 +72,12 @@ class MdsResult:
     inherent_dim: int
     residual: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
 
-@dataclass(frozen=True)
-class TrilaterationProblem:
+
+@dataclass(frozen=True, eq=False)
+class TrilaterationProblem(_ValueRecord):
     """Known anchor points plus measured distances to one unknown point."""
 
     anchors: Realization
@@ -86,9 +91,7 @@ class TrilaterationProblem:
             )
         if not np.all(np.isfinite(d)) or np.any(d < 0):
             raise ValueError("distances must be finite and nonnegative")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "dists", d)
+        object.__setattr__(self, "dists", _readonly(d))
 
 
 def classify_edm(D: DistanceMatrix, tol: Tolerances | None = None) -> EdmClassification:

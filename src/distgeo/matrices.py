@@ -4,7 +4,8 @@ Distance and Gram matrix types, double centering, the symmetric
 eigendecomposition (LAPACK ``eigh``), positive-semidefiniteness tests, and
 the conversions between Gram matrices and point realizations that underpin
 classical multidimensional scaling.  Every rank cut in the toolkit is taken
-here, relative to the spectral radius of the Gram matrix.
+here, relative to the spectral radius of the Gram matrix, and so is the
+flatness test.
 
 All values are immutable after construction (backing arrays are read-only)
 and every operation is a pure function of its inputs.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,6 +54,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+class _ValueRecord:
+    """Value equality for the frozen records that hold arrays, declared with
+    ``@dataclass(frozen=True, eq=False)``: records of one type are equal when
+    their fields are, arrays by ``np.array_equal``.  They are unhashable."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
+            for a, b in pairs
+        )
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite entries")
@@ -83,8 +99,8 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+@dataclass(frozen=True, eq=False)
+class DistanceMatrix(_ValueRecord):
     """Symmetric hollow nonnegative n-by-n matrix of pairwise distances.
 
     The constructor enforces the invariants exactly; use
@@ -134,8 +150,8 @@ class DistanceMatrix:
         return DistanceMatrix(self.d[np.ix_(idx, idx)])
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+@dataclass(frozen=True, eq=False)
+class GramMatrix(_ValueRecord):
     """Symmetric matrix of pairwise inner products (squared-distance units)."""
 
     g: np.ndarray
@@ -159,8 +175,8 @@ class GramMatrix:
         return self.g.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+@dataclass(frozen=True, eq=False)
+class SpectralDecomposition(_ValueRecord):
     """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
 
     Column ``j`` of ``eigenvectors`` pairs with ``eigenvalues[j]``.
@@ -188,8 +204,8 @@ class SpectralDecomposition:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
-@dataclass(frozen=True)
-class Realization:
+@dataclass(frozen=True, eq=False)
+class Realization(_ValueRecord):
     """Ordered list of n points in R^k as an n-by-k coordinate array."""
 
     coords: np.ndarray
@@ -388,6 +404,16 @@ def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
     left, right = _helmert(k)
     w = np.linalg.eigvalsh(left @ d2 @ right)[..., ::-1]
     return _rank_cut(w, tol)
+
+
+def _flat_stack(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Flatness of a stack of squared distance matrices of k >= 2 points: in
+    units of its own largest entry, a matrix's Cayley-Menger determinant,
+    (-1)^k 2^(k-1) k det P with P its :func:`_classify_stack` Gram, is at most rank_tol in size."""
+    k = d2.shape[-1]
+    left, right = _helmert(k)
+    scale = d2.max(axis=(-2, -1), keepdims=True, initial=np.finfo(float).tiny)
+    return 2.0 ** (k - 1) * k * np.abs(np.linalg.det(left @ (d2 / scale) @ right)) <= tol.rank_tol
 
 
 def _factor_gram(

@@ -26,10 +26,10 @@ from .matrices import (
     Tolerances,
     _classify_stack,
     _factor_gram,
+    _flat_stack,
     _unit_squares,
     validate_distance_matrix,
 )
-from .simplex import _flat
 
 __all__ = [
     "CONGRUENCE_SEARCH_CAP",
@@ -452,22 +452,22 @@ def verify_menger_criterion(
     base_size = min(dim + 1, n)
     base_rows, stack = subsets(base_size)
     rank, is_edm = _classify_stack(stack, tol)
-    ok = is_edm & (rank <= dim)
-    base_failures = failures(base_rows, ~ok)
-    exact = np.flatnonzero(ok & (rank == dim))
+    base_failures = failures(base_rows, ~is_edm)
+    exact = np.flatnonzero(is_edm & (rank == dim))
     anchor = tuple(base_rows[exact[0]].tolist()) if exact.size else None
 
     flat2_rows, stack = subsets(dim + 2)
-    flat2_fail = failures(flat2_rows, ~_flat(stack, tol))
+    flat2_fail = failures(flat2_rows, ~_flat_stack(stack, tol))
     flat3_rows, stack = subsets(dim + 3)
-    flat3_fail = failures(flat3_rows, ~_flat(stack, tol))
-    # The anchored reading: the (dim+3)-subsets made of the anchor's dim+1
-    # points and 2 of the other n-dim-1.
+    flat3_failing = ~_flat_stack(stack, tol)
+    flat3_fail = failures(flat3_rows, flat3_failing)
+    # The anchored reading: the (dim+3)-subsets that hold every anchor point.
     if anchor is None:
         flat3a_checked, flat3a_fail = 0, ()
     else:
-        flat3a_checked = math.comb(n - dim - 1, 2)
-        flat3a_fail = tuple(f for f in flat3_fail if set(anchor) <= set(f))
+        anchored = (flat3_rows[:, :, None] == anchor).any(axis=1).all(axis=1)
+        flat3a_checked = int(anchored.sum())
+        flat3a_fail = failures(flat3_rows, anchored & flat3_failing)
 
     embeddable = not base_failures and not flat2_fail and not flat3_fail
     return MengerReport(

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances, _in_units, _unit_squares
+from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances
+from .matrices import _flat_stack, _in_units, _unit_squares
 
 __all__ = [
     "TriangleSides",
@@ -114,18 +115,6 @@ def _bordered(d2: np.ndarray) -> np.ndarray:
     return b
 
 
-def _unit_determinant(d2: np.ndarray) -> np.ndarray:
-    """Bordered determinant of squared distances in units of the largest, over
-    the last two axes: unit-free, and it neither overflows nor underflows."""
-    scale = d2.max(axis=(-2, -1), keepdims=True, initial=np.finfo(float).tiny)
-    return np.linalg.det(_bordered(d2 / scale))
-
-
-def _flat(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Zero-volume test on squared side lengths: |unit determinant| <= rank_tol."""
-    return np.abs(_unit_determinant(d2)) <= tol.rank_tol
-
-
 def cayley_menger_determinant(s: SimplexSides) -> float:
     """Determinant of the squared-distance matrix bordered by a row and column of ones.
 
@@ -153,11 +142,11 @@ def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     n = s.m - 1
     dmax = float(s.d.d.max())
     d2 = (s.d.d / (dmax or 1.0)) ** 2
-    delta = float(_unit_determinant(d2))
+    delta = float(np.linalg.det(_bordered(d2)))
     if abs(delta) <= (n + 2) ** 2 * np.finfo(float).eps:
         return 0.0
     v2 = ((-1.0) ** (n - 1) / (2.0**n * math.factorial(n) ** 2)) * delta
-    if v2 < 0.0 and abs(delta) > tol.rank_tol:
+    if v2 < 0.0 and not _flat_stack(d2, tol):
         raise InfeasibleError(
             "side lengths are not realizable", _in_units(v2, dmax, 2 * n, "squared volume")
         )
@@ -170,4 +159,4 @@ def is_flat(s: SimplexSides, tol: Tolerances | None = None) -> bool:
     The determinant is normalized by (max squared distance)^(m-1) so the
     test does not depend on measurement units.
     """
-    return bool(_flat(_unit_squares(s.d.d)[0], tol or DEFAULT_TOLERANCES))
+    return bool(_flat_stack(_unit_squares(s.d.d)[0], tol or DEFAULT_TOLERANCES))

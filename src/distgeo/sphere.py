@@ -34,7 +34,9 @@ from .matrices import (
     _anchor,
     _classify_stack,
     _factor_gram,
+    _readonly,
     _unit_squares,
+    _ValueRecord,
 )
 
 __all__ = [
@@ -56,8 +58,8 @@ _ROWS, _COLS = np.array(VERTEX_PAIRS).T
 SCAN_POINTS = 64
 
 
-@dataclass(frozen=True)
-class GeodesicTetrahedron:
+@dataclass(frozen=True, eq=False)
+class GeodesicTetrahedron(_ValueRecord):
     """Six positive geodesic side lengths, indexed by VERTEX_PAIRS."""
 
     a: np.ndarray
@@ -68,9 +70,7 @@ class GeodesicTetrahedron:
             raise ValueError(f"expected 6 side lengths, got shape {a.shape}")
         if not np.all(np.isfinite(a)) or np.any(a <= 0):
             raise ValueError("geodesic lengths must be positive reals")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _readonly(a))
 
     @property
     def a_max(self) -> float:
@@ -86,20 +86,24 @@ class GeodesicTetrahedron:
         return cls(d.d[_ROWS, _COLS])
 
 
-@dataclass(frozen=True)
-class Circumsphere:
+@dataclass(frozen=True, eq=False)
+class Circumsphere(_ValueRecord):
     """Circumscribed sphere of four points; radius is inf when they are coplanar."""
 
     radius: float
     center: np.ndarray | None
+
+    def __post_init__(self):
+        if self.center is not None:
+            object.__setattr__(self, "center", _readonly(self.center))
 
     @property
     def is_finite(self) -> bool:
         return math.isfinite(self.radius)
 
 
-@dataclass(frozen=True)
-class SphericalEmbedding:
+@dataclass(frozen=True, eq=False)
+class SphericalEmbedding(_ValueRecord):
     """Four points on a sphere centered at the origin, with realized geodesics.
 
     ``geodesics`` lists radius times the central angle for each pair in
@@ -117,12 +121,8 @@ class SphericalEmbedding:
             raise ValueError("expected 4x3 points and 6 geodesics")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("radius must be a positive real")
-        p = p.copy()
-        g = g.copy()
-        p.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "geodesics", g)
+        object.__setattr__(self, "points", _readonly(p))
+        object.__setattr__(self, "geodesics", _readonly(g))
 
 
 def _pair_matrices(values: np.ndarray) -> np.ndarray:

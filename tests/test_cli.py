@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_subset_engine import assert_inclusion_minimal, large_space
+from test_subset_engine import assert_inclusion_minimal, large_space, make_space
 
 from distgeo.cli import fmt12
 
@@ -370,6 +370,14 @@ class TestMenger:
         witness = tuple(int(i) for i in line.split("[")[1].rstrip("]").split(","))
         assert len(witness) <= dim + 3 and set(must) <= set(witness)
         assert_inclusion_minimal(space, witness, dim)
+
+    def test_space_that_fails_only_as_a_whole_prints_an_empty_subset(self, tmp_path):
+        space, dim = make_space("thin_lift", 1590)
+        f = tmp_path / "thin_lift.txt"
+        f.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in space.d.d))
+        r = run_cli("menger", f, "--dim", dim)
+        assert (r.returncode, r.stderr) == (1, "")
+        assert r.stdout.splitlines()[0] == "NOT-EMBEDDABLE subset=[]"
 
     def test_equilateral_triangle_of_side_1e308(self, tmp_path):
         f = tmp_path / "equilateral.txt"

@@ -1,4 +1,5 @@
-"""What importing the package and running a command loads.
+"""What importing the package and running a command loads, and where the
+rank cut is read.
 
 Each CLI command is a fresh interpreter, so its start-up time is mostly the
 modules it imports.  ``import distgeo`` loads no submodule, and a command
@@ -6,6 +7,7 @@ loads only the modules it runs: ``signs`` and ``euler`` never load numpy.
 The checks run in child processes, because this one has loaded everything.
 """
 
+import ast
 import importlib
 import json
 import subprocess
@@ -54,6 +56,26 @@ def test_spectral_commands_load_only_embedding_and_matrices(command):
     matrix = str(Path(__file__).parent / "fixtures" / "triangle345.txt")
     loaded = loaded_after(f"from distgeo import cli\ncli.main([{command!r}, {matrix!r}])")
     assert loaded == ["distgeo.cli", "distgeo.embedding", "distgeo.errors", "distgeo.matrices", "numpy"]
+
+
+def test_menger_loads_only_semimetric_and_matrices():
+    matrix = str(Path(__file__).parent / "fixtures" / "tetra_unit.txt")
+    loaded = loaded_after(f"from distgeo import cli\ncli.main(['menger', {matrix!r}, '--dim', '2'])")
+    assert loaded == ["distgeo.cli", "distgeo.errors", "distgeo.matrices", "distgeo.semimetric", "numpy"]
+
+
+def test_rank_tol_is_read_only_in_matrices():
+    # The matrices docstring says every rank cut is taken there; the
+    # flatness rule is one, so no other module reads the threshold.
+    readers = sorted(
+        path.name
+        for path in Path(distgeo.__file__).parent.glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "rank_tol"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert readers == ["matrices.py"]
 
 
 def test_exports_are_the_submodules_own_names():

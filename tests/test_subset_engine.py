@@ -195,6 +195,19 @@ def test_witness_is_first_failing_subset_of_lex_scan(case):
         assert verdict.failing_subset == reference_witness(s, dim)
 
 
+def test_space_that_fails_only_as_a_whole_has_no_witness():
+    # The whole space is an EDM of rank 3 at its own rank cut, while every
+    # subset of at most dim+3 points passes its own cut.  The verdict stays
+    # negative with no witness.
+    s, dim = make_space("thin_lift", 1590)
+    assert (s.n, dim) == (8, 2)
+    whole = classify_edm(s.d)
+    assert whole.is_edm and whole.dim == 3
+    assert reference_witness(s, dim) is None
+    verdict = congruently_embeddable(s, dim)
+    assert (verdict.embeddable, verdict.failing_subset) == (False, None)
+
+
 def assert_inclusion_minimal(s, witness, dim):
     assert not embeds(s, witness, dim)
     for size in range(2, len(witness)):
