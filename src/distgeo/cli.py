@@ -286,7 +286,8 @@ def _add_tol(parser: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=None,
-        help="override the rank/distance tolerance (default: rank 1e-9, distance 1e-8)",
+        help="override the rank/distance tolerance, at least 1e-12 and below 1"
+        " (default: rank 1e-9, distance 1e-8)",
     )
 
 

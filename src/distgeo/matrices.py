@@ -83,7 +83,11 @@ class Tolerances:
     dist_tol : relative threshold for distance comparisons.
 
     Both lie strictly between 0 and 1: a relative cutoff of 1 or more
-    counts every eigenvalue as zero and every distance as equal.
+    counts every eigenvalue as zero and every distance as equal.  rank_tol
+    is at least 1e-12, above the eigensolver's rounding level: the null
+    eigenvalues of a centered Gram, the centering one included, come out as
+    residue of up to about 1e-15 times the spectral radius, which a smaller
+    cutoff counts as signal.
     """
 
     rank_tol: float = 1e-9
@@ -94,6 +98,11 @@ class Tolerances:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and 0 < value < 1):
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+        if self.rank_tol < 1e-12:
+            raise ValueError(
+                "rank_tol must be at least 1e-12, above the eigensolver's rounding level,"
+                f" got {self.rank_tol!r}"
+            )
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -409,11 +418,13 @@ def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
 def _flat_stack(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Flatness of a stack of squared distance matrices of k >= 2 points: in
     units of its own largest entry, a matrix's Cayley-Menger determinant,
-    (-1)^k 2^(k-1) k det P with P its :func:`_classify_stack` Gram, is at most rank_tol in size."""
+    (-1)^k 2^(k-1) k det P with P its :func:`_classify_stack` Gram, is at most rank_tol in size.
+    The power of two scales the threshold, exactly while it stays a normal float, so that
+    no power overflows at k > 1024."""
     k = d2.shape[-1]
     left, right = _helmert(k)
     scale = d2.max(axis=(-2, -1), keepdims=True, initial=np.finfo(float).tiny)
-    return 2.0 ** (k - 1) * k * np.abs(np.linalg.det(left @ (d2 / scale) @ right)) <= tol.rank_tol
+    return k * np.abs(np.linalg.det(left @ (d2 / scale) @ right)) <= math.ldexp(tol.rank_tol, 1 - k)
 
 
 def _factor_gram(

@@ -240,13 +240,6 @@ def _submatrices(d2: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return d2[rows[:, :, None], rows[:, None, :]]
 
 
-def _gather(d2: np.ndarray, subsets, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, stack)`` for an iterable of size-k subsets: the (S, k) index
-    array and its :func:`_submatrices`."""
-    rows = np.array(list(subsets), dtype=np.intp).reshape(-1, k)
-    return rows, _submatrices(d2, rows)
-
-
 @functools.lru_cache(maxsize=256)
 def _combination_rows(n: int, k: int) -> np.ndarray:
     """Read-only (C(n, k), k) array of ``combinations(range(n), k)``, in order.
@@ -261,34 +254,40 @@ def _combination_rows(n: int, k: int) -> np.ndarray:
     return rows
 
 
-def _chunks(d2: np.ndarray, subsets, k: int):
-    """The size-k ``subsets``, in their order, chunk by chunk as
-    :func:`_gather` gives them."""
-    subsets = iter(subsets)
-    size = _FIRST_CHUNK
-    while True:
-        rows, stack = _gather(d2, islice(subsets, size), k)
-        if not len(rows):
-            return
-        yield rows, stack
-        size = min(4 * size, _CHUNK_CAP)
+def _first_failing(d2: np.ndarray, rows: np.ndarray, dim: int, tol: Tolerances):
+    """The first subset, among the rows of an (S, k) index array, that is not
+    an EDM of rank <= dim, or None.  Stacked ``_CHUNK_CAP`` rows at a time."""
+    for start in range(0, len(rows), _CHUNK_CAP):
+        chunk = rows[start : start + _CHUNK_CAP]
+        rank, is_edm = _classify_stack(_submatrices(d2, chunk), tol)
+        failing = ~is_edm | (rank > dim)
+        if failing.any():
+            return tuple(chunk[np.argmax(failing)].tolist())
+    return None
 
 
-def _lex_chunks(d2: np.ndarray, points, dim: int):
-    """Every subset of ``points`` that can fail at ``dim``, by size and then
-    lexicographically, chunk by chunk.  A pair of distinct points is an EDM
-    of rank 1, so pairs are included only at dim 0; the largest size is
-    dim+3."""
-    for size in range(2 if dim == 0 else 3, min(len(points), dim + 3) + 1):
-        yield from _chunks(d2, combinations(points, size), size)
-
-
-def _first_failing(rows: np.ndarray, stack: np.ndarray, dim: int, tol: Tolerances):
-    """The first of the stacked subsets that is not an EDM of rank <= dim,
-    or None."""
-    rank, is_edm = _classify_stack(stack, tol)
-    failing = ~is_edm | (rank > dim)
-    return tuple(rows[np.argmax(failing)].tolist()) if failing.any() else None
+def _lex_scan(d2: np.ndarray, points, dim: int, tol: Tolerances, budget: float) -> tuple:
+    """``(witness, checked)``: the first subset of ``points`` that is not an
+    EDM of rank <= dim, by size and then lexicographically, and the number of
+    subsets tested.  A pair of distinct points is an EDM of rank 1, so pairs
+    are tested only at dim 0; the largest size is dim+3.  Each size is
+    stacked lazily in chunks of ``_FIRST_CHUNK`` subsets growing 4x up to
+    ``_CHUNK_CAP``; the scan gives up after the chunk that takes ``checked``
+    past ``budget``."""
+    checked = 0
+    for k in range(2 if dim == 0 else 3, min(len(points), dim + 3) + 1):
+        flat = chain.from_iterable(combinations(points, k))
+        size = _FIRST_CHUNK
+        while checked <= budget:
+            rows = np.fromiter(islice(flat, size * k), dtype=np.intp).reshape(-1, k)
+            if not len(rows):
+                break
+            checked += len(rows)
+            witness = _first_failing(d2, rows, dim, tol)
+            if witness is not None:
+                return witness, checked
+            size = min(4 * size, _CHUNK_CAP)
+    return None, checked
 
 
 def _greedy(d2: np.ndarray, size: int, tol: Tolerances) -> tuple[list, tuple | None]:
@@ -307,8 +306,10 @@ def _greedy(d2: np.ndarray, size: int, tol: Tolerances) -> tuple[list, tuple | N
     chosen = list(range(min(size, 2)))
     while len(chosen) < size:
         k = len(chosen) + 1
-        rows, stack = _gather(d2, (chosen + [i] for i in range(chosen[-1] + 1, n)), k)
-        rank, is_edm = _classify_stack(stack, tol)
+        rows = np.empty((n - chosen[-1] - 1, k), dtype=np.intp)
+        rows[:, :-1] = chosen
+        rows[:, -1] = np.arange(chosen[-1] + 1, n)
+        rank, is_edm = _classify_stack(_submatrices(d2, rows), tol)
         stop = ~is_edm | (rank == k - 1)
         if not stop.any():
             break
@@ -333,7 +334,7 @@ def _deletion_witness(d2: np.ndarray, dim: int, tol: Tolerances) -> tuple:
         i = 0
         while i < len(kept):
             rest = kept[:i] + kept[i + step :]
-            if len(rest) > 1 and _first_failing(*_gather(d2, [rest], len(rest)), dim, tol):
+            if len(rest) > 1 and _first_failing(d2, np.array([rest]), dim, tol):
                 kept = rest
             else:
                 i += step
@@ -351,21 +352,18 @@ def _anchored_witness(d2: np.ndarray, dim: int, tol: Tolerances) -> tuple:
     flat, so in exact arithmetic a space that does not embed in R^dim has a
     failing A+{x, y}.  The first failing one of these O(n^2) sets, or a
     failing set the greedy pass met, is shrunk to its own first failing
-    subset by size and then lexicographically (at most 2^(dim+3) subsets).
+    subset by :func:`_lex_scan` (at most 2^(dim+3) subsets).
     """
     anchor, failing = _greedy(d2, dim + 1, tol)
     if failing is None:
-        k = len(anchor)
-        others = [x for x in range(d2.shape[0]) if x not in anchor]
-        sets = chain(
-            _chunks(d2, (sorted(anchor + [x]) for x in others), k + 1),
-            _chunks(d2, (sorted(anchor + [x, y]) for x, y in combinations(others, 2)), k + 2),
-        )
-        failing = next(filter(None, (_first_failing(*c, dim, tol) for c in sets)), None)
+        others = np.setdiff1d(np.arange(d2.shape[0]), anchor)
+        x, y = np.triu_indices(len(others), 1)
+        extras = (others[:, None], np.column_stack([others[x], others[y]]))
+        sets = (np.sort(np.column_stack([np.tile(anchor, (len(e), 1)), e]), axis=1) for e in extras)
+        failing = next(filter(None, (_first_failing(d2, rows, dim, tol) for rows in sets)), None)
         if failing is None:
             return _deletion_witness(d2, dim, tol)
-    chunks = _lex_chunks(d2, failing, dim)
-    return next(filter(None, (_first_failing(*c, dim, tol) for c in chunks)), failing)
+    return _lex_scan(d2, failing, dim, tol, math.inf)[0] or failing
 
 
 def congruently_embeddable(
@@ -404,16 +402,13 @@ def congruently_embeddable(
         if failing is None and len(chosen) == dim + 2:
             return EmbeddabilityVerdict(False, dim, failing_subset=tuple(chosen))
 
-    checked = 0
-    for rows, stack in _lex_chunks(d2, range(s.n), dim):
-        witness = _first_failing(rows, stack, dim, tol)
-        checked += len(rows)
-        if witness is not None or checked > _WITNESS_BUDGET:
-            witness = witness or _anchored_witness(d2, dim, tol)
-            return EmbeddabilityVerdict(False, dim, failing_subset=witness)
-    # Numerically possible when the whole space sits right at the verdict
-    # threshold while every small subset clears it; report without witness.
-    return EmbeddabilityVerdict(False, dim, failing_subset=None)
+    witness, checked = _lex_scan(d2, range(s.n), dim, tol, _WITNESS_BUDGET)
+    if witness is None and checked > _WITNESS_BUDGET:
+        witness = _anchored_witness(d2, dim, tol)
+    # None when the scan ends within its budget: numerically possible when the
+    # whole space sits right at the verdict threshold while every small subset
+    # clears it; report without witness.
+    return EmbeddabilityVerdict(False, dim, failing_subset=witness)
 
 
 def verify_menger_criterion(
@@ -440,26 +435,28 @@ def verify_menger_criterion(
 
     d2, _ = _unit_squares(s.d.d)
 
-    def subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = _combination_rows(n, k)
-        return rows, _submatrices(d2, rows)
-
     def failures(rows: np.ndarray, failing: np.ndarray) -> tuple:
         return tuple(map(tuple, rows[failing].tolist()))
+
+    def not_flat(k: int) -> tuple[np.ndarray, np.ndarray]:
+        # A size past n has no subsets, and its kernel would build a k-point basis.
+        rows = _combination_rows(n, k)
+        if not len(rows):
+            return rows, np.zeros(0, dtype=bool)
+        return rows, ~_flat_stack(_submatrices(d2, rows), tol)
 
     # The anchor is the first base subset realizing dimension exactly dim.
     # When n < dim+1 the base subsets have rank below dim, so none exists.
     base_size = min(dim + 1, n)
-    base_rows, stack = subsets(base_size)
-    rank, is_edm = _classify_stack(stack, tol)
+    base_rows = _combination_rows(n, base_size)
+    rank, is_edm = _classify_stack(_submatrices(d2, base_rows), tol)
     base_failures = failures(base_rows, ~is_edm)
     exact = np.flatnonzero(is_edm & (rank == dim))
     anchor = tuple(base_rows[exact[0]].tolist()) if exact.size else None
 
-    flat2_rows, stack = subsets(dim + 2)
-    flat2_fail = failures(flat2_rows, ~_flat_stack(stack, tol))
-    flat3_rows, stack = subsets(dim + 3)
-    flat3_failing = ~_flat_stack(stack, tol)
+    flat2_rows, flat2_failing = not_flat(dim + 2)
+    flat2_fail = failures(flat2_rows, flat2_failing)
+    flat3_rows, flat3_failing = not_flat(dim + 3)
     flat3_fail = failures(flat3_rows, flat3_failing)
     # The anchored reading: the (dim+3)-subsets that hold every anchor point.
     if anchor is None:

@@ -1,14 +1,19 @@
 """Command-line contract: verdict lines, exit codes, deterministic output."""
 
+import io
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_subset_engine import assert_inclusion_minimal, large_space, make_space
 
+from distgeo import cli
 from distgeo.cli import fmt12
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -379,6 +384,19 @@ class TestMenger:
         assert (r.returncode, r.stderr) == (1, "")
         assert r.stdout.splitlines()[0] == "NOT-EMBEDDABLE subset=[]"
 
+    @pytest.mark.parametrize("dim", [1022, 100_000])
+    def test_sizes_past_n_are_checked_empty(self, dim):
+        # A size-1025 flatness factor overflowed at dim 1022, and at dim 10^5
+        # the 100 002-point basis of an empty stack asked for 74.5 GiB.
+        r = run_cli("menger", FIXTURES / "tetra_unit.txt", "--dim", dim)
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout.splitlines() == [
+            "EMBEDDABLE r=3",
+            "base(size=4): checked=1 failed=0",
+            f"flat(size={dim + 2}): checked=0 failed=0",
+            f"flat(size={dim + 3}): checked=0 failed=0",
+        ]
+
     def test_equilateral_triangle_of_side_1e308(self, tmp_path):
         f = tmp_path / "equilateral.txt"
         f.write_text(EQUILATERAL_1E308)
@@ -455,6 +473,72 @@ def test_tolerance_of_one_or_more_is_an_error(args):
     r = run_cli(*args)
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr.startswith("error: rank_tol must lie strictly between 0 and 1, got ")
+
+
+# Below the eigensolver's rounding level the centering null eigenvalue
+# counted as signal: 4 points gave "EDM r=4" and the unit square failed in
+# the plane.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check-edm", FIXTURES / "tetra_unit.txt"),
+        ("check-edm", FIXTURES / "square.txt"),
+        ("mds", FIXTURES / "square.txt"),
+        ("menger", FIXTURES / "square.txt", "--dim", "2"),
+    ],
+)
+def test_tolerance_below_the_rounding_level_is_an_error(args):
+    r = run_cli(*args, "--tol", "1e-17")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: rank_tol must be at least 1e-12")
+
+
+def _matrix_file(kind, n, seed):
+    """A random n-point EDM ("edm"), symmetric positive matrix ("semi") or
+    4x4 matrix of geodesic lengths on a sphere ("geodesic"), in one of a
+    wide range of units."""
+    rng = np.random.default_rng(seed)
+    if kind == "geodesic":
+        pts = rng.standard_normal((4, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        d = np.arccos(np.clip(pts @ pts.T, -1.0, 1.0))
+    elif kind == "edm":
+        pts = rng.standard_normal((n, int(rng.integers(1, 5))))
+        d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=-1))
+    else:
+        m = rng.uniform(0.3, 3.0, (n, n))
+        d = m + m.T
+    d = d * 10 ** rng.uniform(-6, 6)
+    np.fill_diagonal(d, 0.0)
+    return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in d)
+
+
+@pytest.fixture(scope="module")
+def matrix_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("matrices")
+
+
+# --dim skips 2 000-50 000: should a size past n run its flatness kernel
+# again, its basis there would take 64 MB to 40 GB instead of failing at once.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["check-edm", "mds", "volume", "sphere-embed", "menger"]),
+    kind=st.sampled_from(["edm", "semi", "geodesic"]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([*range(13), 1021, 1022, 10**5, 10**6]),
+    log_tol=st.none() | st.floats(-300.0, 0.0, exclude_max=True),
+)
+def test_every_matrix_command_answers_or_exits_2(matrix_dir, command, kind, n, seed, dim, log_tol):
+    path = matrix_dir / f"{kind}-{n}-{seed}.txt"
+    path.write_text(_matrix_file(kind, n, seed))
+    argv = [command, str(path)]
+    if command in ("mds", "menger"):
+        argv += ["--dim", str(dim)]
+    if log_tol is not None:
+        argv += ["--tol", repr(10**log_tol)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 1, 2)
 
 
 class TestLibraryErrors:

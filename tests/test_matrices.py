@@ -53,6 +53,14 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(rank_tol=bad)
 
+    @pytest.mark.parametrize("small", [1e-300, 1e-17, 9.99e-13])
+    def test_rank_tol_below_the_rounding_level_is_rejected(self, small):
+        with pytest.raises(ValueError, match="rank_tol must be at least 1e-12"):
+            Tolerances(rank_tol=small)
+
+    def test_rank_tol_floor_is_admitted(self):
+        assert Tolerances(rank_tol=1e-12, dist_tol=1e-17).rank_tol == 1e-12
+
 
 class TestValidateDistanceMatrix:
     def test_minimal_valid(self):

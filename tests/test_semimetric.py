@@ -219,6 +219,16 @@ class TestVerifyMengerCriterion:
         with pytest.raises(TooLargeError):
             verify_menger_criterion(s, 2)
 
+    def test_sizes_past_n_check_nothing(self):
+        # A (dim+2)- or (dim+3)-point basis at dim 10^5 would take about 75 GiB;
+        # sizes with no subsets run no kernel.
+        report = verify_menger_criterion(validate_semi_metric(TETRA), 10**5)
+        assert report.embeddable
+        assert (report.base_size, report.base_checked, report.base_failures) == (4, 1, ())
+        assert report.anchor_subset is None
+        assert (report.flat2_checked, report.flat3_checked) == (0, 0)
+        assert (report.flat2_failures, report.flat3_failures) == ((), ())
+
     def test_agrees_with_psd_route(self):
         rng = np.random.default_rng(36)
         for trial in range(60):

@@ -261,3 +261,8 @@ class TestIsFlat:
         pts = rng.standard_normal((4, 2))  # planar -> flat in any unit
         for scale in (1e-6, 1.0, 1e6):
             assert is_flat(simplex_from_points(pts * scale))
+
+    def test_1025_points_in_three_space(self):
+        # 2^(k-1) overflows a float from k = 1025 vertices on.
+        pts = np.random.default_rng(18).standard_normal((1025, 3))
+        assert is_flat(simplex_from_points(pts))

@@ -243,6 +243,17 @@ def test_anchored_witness_on_a_large_space(monkeypatch, kind):
     assert_inclusion_minimal(s, witness, dim)
 
 
+def test_chunk_that_crosses_the_budget_keeps_its_own_witness(monkeypatch):
+    # The first chunk of 16 triangles takes the scan past a budget of 0 and
+    # holds a failing triangle, so the anchored search does not run.
+    s, dim = make_space("semi", 0)
+    assert (s.n, dim) == (8, 2)
+    monkeypatch.setattr(semimetric, "_WITNESS_BUDGET", 0)
+    d2, _ = semimetric._unit_squares(s.d.d)
+    assert semimetric._anchored_witness(d2, dim, semimetric.DEFAULT_TOLERANCES) == (1, 2, 3)
+    assert congruently_embeddable(s, dim).failing_subset == (0, 2, 4)
+
+
 def assert_witness_has_at_most_dim_plus_3_points(s, dim):
     with mock.patch.object(semimetric, "_WITNESS_BUDGET", 0):
         verdict = congruently_embeddable(s, dim)
