@@ -1,9 +1,12 @@
 """Simplex volumes from side lengths alone.
 
-The bordered determinant of squared distances measures simplex volume in
-any dimension: for triangles it reproduces the semiperimeter-product
-formula, for a regular tetrahedron the textbook volume, and it vanishes on
-flat configurations.
+The Cayley-Menger determinant, the determinant of the squared distances
+bordered by ones, measures simplex volume in any dimension: for triangles
+it reproduces the semiperimeter-product formula, for a regular tetrahedron
+the textbook volume, and it vanishes on flat configurations.  distgeo takes
+it as one log determinant of the projected Gram -1/2 R^T D^2 R, with the
+factorial of the volume formula as lgamma, so a volume far below 1 (the
+regular simplex on 150 vertices, about 1e-282) comes back in full.
 """
 
 import math
@@ -32,6 +35,9 @@ def main():
     tetra = SimplexSides(DistanceMatrix(np.ones((4, 4)) - np.eye(4)))
     print(f"\nregular tetrahedron side 1: volume={simplex_volume(tetra):.12f}")
     print(f"analytic 1/(6 sqrt 2)      = {1 / (6 * math.sqrt(2)):.12f}")
+    big = SimplexSides(DistanceMatrix(np.ones((150, 150)) - np.eye(150)))
+    print(f"regular simplex on 150 vertices: volume={simplex_volume(big):.11e}"
+          "  (sqrt(150 / (2^149 (149!)^2)) = 1.20367378120e-282)")
 
     s2 = math.sqrt(2)
     square = SimplexSides(

@@ -4,8 +4,8 @@ Distance and Gram matrix types, double centering, the symmetric
 eigendecomposition (LAPACK ``eigh``), positive-semidefiniteness tests, and
 the conversions between Gram matrices and point realizations that underpin
 classical multidimensional scaling.  Every rank cut in the toolkit is taken
-here, relative to the spectral radius of the Gram matrix, and so is the
-flatness test.
+here, relative to the spectral radius of the Gram matrix, and so are the
+flatness test and every determinant of a distance matrix.
 
 All values are immutable after construction (backing arrays are read-only)
 and every operation is a pure function of its inputs.
@@ -308,6 +308,18 @@ def _in_units(value, unit: float, power: int, quantity: str, residue=False):
     return out
 
 
+def _from_log(sign: float, log: float, unit: float, power: int, quantity: str) -> float:
+    """sign * exp(log) * unit**power under :func:`_in_units`' loss rule; the binary
+    exponents of exp(log) and of the power of two ``unit`` are applied exactly."""
+    i = round(log / math.log(2.0)) if sign else 0
+    mantissa = sign * math.exp(log - i * math.log(2.0))
+    with np.errstate(over="ignore"):
+        out = float(np.ldexp(mantissa, i + power * int(math.log2(unit))))
+    if math.isinf(out) or (sign and abs(out) < np.finfo(float).tiny):
+        raise FloatRangeError(quantity, log / math.log(10.0) + power * math.log10(unit))
+    return out
+
+
 def _center(d2: np.ndarray) -> np.ndarray:
     """-1/2 J d2 J, symmetrized, with J = I - (1/n) 11^T, for a matrix ``d2``
     of squared distances: the n-by-n centered Gram, whose full spectrum and
@@ -394,37 +406,48 @@ def _helmert(k: int) -> tuple[np.ndarray, np.ndarray]:
     return left, r
 
 
+def _project(d2: np.ndarray) -> np.ndarray:
+    """-1/2 R^T d2 R over the last two axes, with R the :func:`_helmert` basis:
+    the (k-1)-by-(k-1) Gram of each k-point matrix of squared distances."""
+    left, right = _helmert(d2.shape[-1])
+    return left @ d2 @ right
+
+
 def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Numerical ranks and EDM flags of a stack of squared distance matrices,
     as ``classify_edm`` gives them: one batched eigvalsh, the shared rank cut.
 
-    Each matrix is projected onto the complement of the all-ones vector,
-    -1/2 R^T d2 R with R the :func:`_helmert` basis, a (k-1)-by-(k-1) Gram
-    matrix.  Its spectrum is the centered Gram's less the eigenvalue of the
-    centering null vector, which is rounding residue far inside the rank
-    cut (Schoenberg's criterion in Gower's form, Lin. Alg. Appl. 67, 1985).
+    Each matrix is projected onto the complement of the all-ones vector by
+    :func:`_project`, a (k-1)-by-(k-1) Gram matrix.  Its spectrum is the
+    centered Gram's less the eigenvalue of the centering null vector, which
+    is rounding residue far inside the rank cut (Schoenberg's criterion in
+    Gower's form, Lin. Alg. Appl. 67, 1985).
     Dropping it leaves the spectral radius, and so the cut, the rank and the
     PSD flag, what the k-by-k spectrum gives.  A single point is an EDM of
     rank 0.
     """
-    k = d2.shape[-1]
-    if k == 1:
+    if d2.shape[-1] == 1:
         return np.zeros(d2.shape[:-2], dtype=int), np.ones(d2.shape[:-2], dtype=bool)
-    left, right = _helmert(k)
-    w = np.linalg.eigvalsh(left @ d2 @ right)[..., ::-1]
+    w = np.linalg.eigvalsh(_project(d2))[..., ::-1]
     return _rank_cut(w, tol)
 
 
 def _flat_stack(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Flatness of a stack of squared distance matrices of k >= 2 points: in
     units of its own largest entry, a matrix's Cayley-Menger determinant,
-    (-1)^k 2^(k-1) k det P with P its :func:`_classify_stack` Gram, is at most rank_tol in size.
+    (-1)^k 2^(k-1) k det P with P its :func:`_project`ed Gram, is at most rank_tol in size.
     The power of two scales the threshold, exactly while it stays a normal float, so that
     no power overflows at k > 1024."""
     k = d2.shape[-1]
-    left, right = _helmert(k)
     scale = d2.max(axis=(-2, -1), keepdims=True, initial=np.finfo(float).tiny)
-    return k * np.abs(np.linalg.det(left @ (d2 / scale) @ right)) <= math.ldexp(tol.rank_tol, 1 - k)
+    return k * np.abs(np.linalg.det(_project(d2 / scale))) <= math.ldexp(tol.rank_tol, 1 - k)
+
+
+def _cayley_menger_log(d2: np.ndarray) -> tuple[float, float]:
+    """Sign and natural log magnitude of the Cayley-Menger determinant of k >= 2
+    points' squared distances, (-1)^k k det 2P with P their :func:`_project`ed Gram."""
+    sign, log = np.linalg.slogdet(2.0 * _project(d2))
+    return (-1) ** d2.shape[-1] * float(sign), math.log(d2.shape[-1]) + float(log)
 
 
 def _factor_gram(

@@ -1,8 +1,8 @@
 """Simplex geometry from side lengths.
 
 Triangle area and inradius from the semiperimeter product, Cayley-Menger
-determinants of the bordered squared-distance matrix, simplex volumes in any
-dimension, and a unit-invariant flatness test.
+determinants and simplex volumes in any dimension from one log determinant
+of the projected Gram, and a unit-invariant flatness test.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances
-from .matrices import _flat_stack, _in_units, _unit_squares
+from .matrices import _cayley_menger_log, _flat_stack, _from_log, _in_units, _unit_squares
 
 __all__ = [
     "TriangleSides",
@@ -106,51 +106,41 @@ def inradius(t: TriangleSides) -> float:
     return math.sqrt(max(x * y * z, 0.0) / (x + y + z)) * unit
 
 
-def _bordered(d2: np.ndarray) -> np.ndarray:
-    """Squared distances bordered by a row and column of ones, over the last two axes."""
-    m = d2.shape[-1]
-    b = np.ones(d2.shape[:-2] + (m + 1, m + 1))
-    b[..., :m, :m] = d2
-    b[..., m, m] = 0.0
-    return b
-
-
 def cayley_menger_determinant(s: SimplexSides) -> float:
     """Determinant of the squared-distance matrix bordered by a row and column of ones.
 
-    For m vertices this is the (m+1)-by-(m+1) determinant whose sign
-    alternates with the dimension; it vanishes exactly on flat simplices.
-    Taken in units of the longest side and scaled back; a determinant too
-    large or too small for a float raises FloatRangeError.
+    For m vertices it equals (-1)^m m det 2P, with P the (m-1)-by-(m-1)
+    projected Gram: its sign alternates with the dimension, and it vanishes
+    exactly on flat simplices.  Taken as one log determinant in units of
+    the longest side; a value outside the float range raises FloatRangeError.
     """
     d2, unit = _unit_squares(s.d.d)
-    det = float(np.linalg.det(_bordered(d2)))
-    return _in_units(det, unit, 2 * (s.m - 1), "Cayley-Menger determinant")
+    return _from_log(*_cayley_menger_log(d2), unit, 2 * (s.m - 1), "Cayley-Menger determinant")
 
 
 def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     """Volume of the (m-1)-simplex with the given side lengths.
 
-    Uses V_n^2 = (-1)^(n-1) / (2^n (n!)^2) * det with n = m-1, the
-    determinant taken in units of the longest side.  Within its rounding
-    level, (m+1)^2 machine epsilons, the volume is exactly 0.0.  A negative
-    squared volume gives 0.0 on a simplex that :func:`is_flat` calls flat
-    and otherwise raises InfeasibleError carrying it.  A volume (or squared
-    volume) too large for a float raises FloatRangeError.
+    Uses V_n^2 = (-1)^(n-1) / (2^n (n!)^2) * CM with n = m-1, in log space
+    from :func:`cayley_menger_determinant`'s log and lgamma.  Within its
+    rounding level, |CM| <= (m+1)^2 eps in units of the largest squared
+    side, the volume is exactly 0.0.  A negative squared volume gives 0.0
+    on a simplex that :func:`is_flat` calls flat and otherwise raises
+    InfeasibleError carrying it.  A volume (or squared volume) outside the
+    float range raises FloatRangeError.
     """
-    tol = tol or DEFAULT_TOLERANCES
     n = s.m - 1
-    dmax = float(s.d.d.max())
-    d2 = (s.d.d / (dmax or 1.0)) ** 2
-    delta = float(np.linalg.det(_bordered(d2)))
-    if abs(delta) <= (n + 2) ** 2 * np.finfo(float).eps:
+    d2, unit = _unit_squares(s.d.d)
+    sign, log = _cayley_menger_log(d2)
+    if sign == 0.0 or log - n * math.log(d2.max()) <= math.log((n + 2) ** 2 * np.finfo(float).eps):
         return 0.0
-    v2 = ((-1.0) ** (n - 1) / (2.0**n * math.factorial(n) ** 2)) * delta
-    if v2 < 0.0 and not _flat_stack(d2, tol):
+    sign *= (-1) ** (n - 1)
+    log -= n * math.log(2.0) + 2.0 * math.lgamma(n + 1)
+    if sign < 0.0 and not _flat_stack(d2, tol or DEFAULT_TOLERANCES):
         raise InfeasibleError(
-            "side lengths are not realizable", _in_units(v2, dmax, 2 * n, "squared volume")
+            "side lengths are not realizable", _from_log(sign, log, unit, 2 * n, "squared volume")
         )
-    return _in_units(math.sqrt(max(v2, 0.0)), dmax, n, "volume")
+    return _from_log(max(sign, 0.0), 0.5 * log, unit, n, "volume")
 
 
 def is_flat(s: SimplexSides, tol: Tolerances | None = None) -> bool:

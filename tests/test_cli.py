@@ -165,6 +165,34 @@ class TestMds:
         assert "H=1" in r.stdout
 
 
+class TestVolume:
+    """The regular simplex ones(m, m) - eye(m), whose volume is
+    sqrt(m / (2^(m-1) ((m-1)!)^2)): the denominator exceeds the float range
+    from m = 100, and the volume itself lies below the normal range from
+    m = 162."""
+
+    @staticmethod
+    def run_regular(tmp_path, m):
+        f = tmp_path / f"regular{m}.txt"
+        np.savetxt(f, np.ones((m, m)) - np.eye(m), fmt="%g")
+        return run_cli("volume", f)
+
+    @pytest.mark.parametrize(
+        "m, digits, exponent", [(99, "187490535570", -168), (100, "134589617823", -170)]
+    )
+    def test_regular_simplex_below_1e_minus_100(self, tmp_path, m, digits, exponent):
+        r = self.run_regular(tmp_path, m)
+        assert r.returncode == 0
+        assert r.stderr == ""
+        assert r.stdout == "0." + "0" * (-exponent - 1) + digits + "\n"
+
+    def test_regular_simplex_below_the_float_range_is_an_error(self, tmp_path):
+        r = self.run_regular(tmp_path, 171)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: volume of about 10^-331.3 does not fit in a float\n"
+
+
 class TestVolumeAndHeron:
     def test_heron_345(self):
         r = run_cli("heron", 3, 4, 5)

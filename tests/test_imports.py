@@ -64,18 +64,33 @@ def test_menger_loads_only_semimetric_and_matrices():
     assert loaded == ["distgeo.cli", "distgeo.errors", "distgeo.matrices", "distgeo.semimetric", "numpy"]
 
 
+def sources_where(found):
+    """Names of the package's source files with an AST node for which ``found`` holds."""
+    return sorted(
+        path.name
+        for path in Path(distgeo.__file__).parent.glob("*.py")
+        if any(found(node) for node in ast.walk(ast.parse(path.read_text())))
+    )
+
+
 def test_rank_tol_is_read_only_in_matrices():
     # The matrices docstring says every rank cut is taken there; the
     # flatness rule is one, so no other module reads the threshold.
-    readers = sorted(
-        path.name
-        for path in Path(distgeo.__file__).parent.glob("*.py")
-        if any(
-            isinstance(node, ast.Attribute) and node.attr == "rank_tol"
-            for node in ast.walk(ast.parse(path.read_text()))
-        )
-    )
+    readers = sources_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "rank_tol")
     assert readers == ["matrices.py"]
+
+
+def test_determinants_are_taken_only_in_matrices():
+    # Every determinant of a distance matrix is taken on the projected Gram,
+    # so no other module calls a determinant routine or reads the basis.
+    def found(node):
+        if isinstance(node, ast.Attribute):
+            return ast.unparse(node).endswith(("linalg.det", "linalg.slogdet", "._helmert"))
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name in ("det", "slogdet", "_helmert") for alias in node.names)
+        return isinstance(node, ast.Name) and node.id == "_helmert"
+
+    assert sources_where(found) == ["matrices.py"]
 
 
 def test_exports_are_the_submodules_own_names():

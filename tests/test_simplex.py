@@ -6,6 +6,7 @@ formula; numpy.linalg.det serves as the determinant oracle.
 """
 
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,22 @@ from distgeo.simplex import (
 )
 
 REGULAR_TETRA_VOLUME = 1 / (6 * math.sqrt(2))  # 0.1178511301977579
+
+
+def regular_simplex(m):
+    return SimplexSides(DistanceMatrix(np.ones((m, m)) - np.eye(m)))
+
+
+def regular_volume(m):
+    """V of the regular simplex of side 1 on m vertices to 40 digits:
+    V^2 = m / (2^(m-1) ((m-1)!)^2)."""
+    with localcontext(prec=40):
+        return (Decimal(m) / (2 ** (m - 1) * Decimal(math.factorial(m - 1)) ** 2)).sqrt()
+
+
+def assert_close(got, want):
+    with localcontext(prec=40):
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * abs(want)
 
 
 def simplex_from_points(pts):
@@ -139,6 +156,11 @@ class TestCayleyMengerDeterminant:
             delta = cayley_menger_determinant(s)
             assert delta == 0 or math.copysign(1, delta) == (-1) ** (m - 2)
 
+    # CM = (-1)^m m at side 1
+    @pytest.mark.parametrize("m", [4, 100, 1025])
+    def test_regular_simplex_closed_form(self, m):
+        assert_close(cayley_menger_determinant(regular_simplex(m)), Decimal((-1) ** m * m))
+
     def test_five_points_in_three_space_vanish(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
@@ -217,6 +239,23 @@ class TestSimplexVolume:
         s = SimplexSides(DistanceMatrix(scale * (np.ones((4, 4)) - np.eye(4))))
         want = REGULAR_TETRA_VOLUME * scale * scale * scale
         assert simplex_volume(s) == pytest.approx(want, rel=1e-12, abs=0)
+
+    # (m-1)! overflows a float at m = 172, and 2^(m-1) ((m-1)!)^2 from m = 100
+    @pytest.mark.parametrize("m", [4, 99, 100, 150])
+    def test_regular_simplex_closed_form(self, m):
+        assert_close(simplex_volume(regular_simplex(m)), regular_volume(m))
+
+    def test_regular_simplex_answers_or_raises_at_the_normal_range(self):
+        # volumes down to the smallest normal float come back, smaller ones
+        # raise instead of printing 0 or a subnormal (the edge is m = 161/162)
+        tiny = Decimal(np.finfo(float).tiny)
+        for m in range(2, 176):
+            want = regular_volume(m)
+            if want >= tiny:
+                assert_close(simplex_volume(regular_simplex(m)), want)
+            else:
+                with pytest.raises(FloatRangeError, match="^volume of about"):
+                    simplex_volume(regular_simplex(m))
 
     def test_volume_beyond_float_range(self):
         s = SimplexSides(DistanceMatrix(1e104 * (np.ones((4, 4)) - np.eye(4))))
