@@ -73,7 +73,7 @@ class ZeroOffDiagonalError(MatrixValidationError):
 
 
 class NoConvergenceError(DistanceGeometryError):
-    """An iterative routine hit its iteration cap without converging."""
+    """The sphere's fixed-point scan found no sign change, or a planar chord tetrahedron."""
 
 
 class NotPSDInputError(DistanceGeometryError, ValueError):

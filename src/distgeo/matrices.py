@@ -432,22 +432,22 @@ def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
     return _rank_cut(w, tol)
 
 
-def _flat_stack(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Flatness of a stack of squared distance matrices of k >= 2 points: in
-    units of its own largest entry, a matrix's Cayley-Menger determinant,
-    (-1)^k 2^(k-1) k det P with P its :func:`_project`ed Gram, is at most rank_tol in size.
-    The power of two scales the threshold, exactly while it stays a normal float, so that
-    no power overflows at k > 1024."""
+def _cayley_menger_log(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each k >= 2 point matrix in a stack of squared distances, the sign and natural log
+    of |CM|, CM = (-1)^k k det 2P with P its :func:`_project`ed Gram, and log |CM| in units of the
+    matrix's largest entry (floored at the smallest normal float: zeros give -inf, not NaN)."""
     k = d2.shape[-1]
-    scale = d2.max(axis=(-2, -1), keepdims=True, initial=np.finfo(float).tiny)
-    return k * np.abs(np.linalg.det(_project(d2 / scale))) <= math.ldexp(tol.rank_tol, 1 - k)
-
-
-def _cayley_menger_log(d2: np.ndarray) -> tuple[float, float]:
-    """Sign and natural log magnitude of the Cayley-Menger determinant of k >= 2
-    points' squared distances, (-1)^k k det 2P with P their :func:`_project`ed Gram."""
     sign, log = np.linalg.slogdet(2.0 * _project(d2))
-    return (-1) ** d2.shape[-1] * float(sign), math.log(d2.shape[-1]) + float(log)
+    log += math.log(k)
+    top = np.log(d2.max(axis=(-2, -1), initial=np.finfo(float).tiny))
+    return (-1) ** k * sign, log, log - (k - 1) * top
+
+
+def _flat_stack(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Flatness of a stack of squared distance matrices of k >= 2 points: in units of
+    its own largest entry, a matrix's Cayley-Menger determinant is at most rank_tol in
+    size, compared in log space so that no power under- or overflows."""
+    return _cayley_menger_log(d2)[2] <= math.log(tol.rank_tol)
 
 
 def _factor_gram(

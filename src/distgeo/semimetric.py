@@ -6,7 +6,7 @@ between two spaces is a distance-preserving bijection.  Embeddability of a
 space in R^n is decided two independent ways: through the PSD test on the
 centered Gram matrix, and through the finitistic criterion that checks
 small subsets only -- an independent (n+1)-point base plus vanishing
-bordered determinants on all (n+2)- and (n+3)-point subsets.
+Cayley-Menger determinants on all (n+2)- and (n+3)-point subsets.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class MengerReport:
     Conditions:
       base  -- every min(dim+1, n)-point subset is itself a Euclidean
                distance matrix;
-      flat2 -- the bordered determinant vanishes on every (dim+2)-subset;
-      flat3 -- the bordered determinant vanishes on every (dim+3)-subset;
+      flat2 -- the Cayley-Menger determinant vanishes on every (dim+2)-subset;
+      flat3 -- the Cayley-Menger determinant vanishes on every (dim+3)-subset;
       flat3_anchored -- same, restricted to (dim+3)-subsets containing the
                independent anchor subset (the theorem-statement reading;
                checked only when an anchor exists).
@@ -417,14 +417,13 @@ def verify_menger_criterion(
     """Run the finitistic embeddability criterion over every small subset.
 
     Checks, for n = ``dim``: (base) every min(n+1, |S|)-point subset is a
-    Euclidean distance matrix; (flat2) every (n+2)-point subset has a
-    vanishing bordered determinant; (flat3) every (n+3)-point subset has a
-    vanishing bordered determinant.  The determinant test uses the
-    unit-invariant flatness threshold.  Both quantifier readings of the
-    third condition are reported: over all (n+3)-subsets, and only over
-    those containing the independent anchor subset, read off the full
-    scan.  All subsets of one size are tested as one stacked array, in
-    lexicographic order.
+    Euclidean distance matrix; (flat2) every (n+2)-point subset and (flat3)
+    every (n+3)-point subset has a vanishing Cayley-Menger determinant, by
+    :func:`distgeo.simplex.is_flat`'s unit-invariant rule.  Both quantifier
+    readings of the third condition are reported: over all (n+3)-subsets,
+    and only over those containing the independent anchor subset, read off
+    the full scan.  All subsets of one size are tested as one stacked
+    array, in lexicographic order.
     """
     tol = tol or DEFAULT_TOLERANCES
     if dim < 0:

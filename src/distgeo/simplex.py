@@ -67,9 +67,9 @@ class SimplexSides:
 
 
 def _unit_triangle(t: TriangleSides) -> tuple[float, float, float, float, float]:
-    """The longest side, and in units of it the semiperimeter s and s-a,
-    s-b, s-c: products of them neither overflow nor underflow."""
-    unit = max(t.a, t.b, t.c)
+    """The exact power-of-two :func:`_unit_squares` unit of the sides, and in units of it
+    the semiperimeter s and s-a, s-b, s-c: products of them neither overflow nor underflow."""
+    unit = _unit_squares(np.array([t.a, t.b, t.c]))[1]
     a, b, c = t.a / unit, t.b / unit, t.c / unit
     s = 0.5 * (a + b + c)
     return unit, s, s - a, s - b, s - c
@@ -78,7 +78,7 @@ def _unit_triangle(t: TriangleSides) -> tuple[float, float, float, float, float]
 def heron_area(t: TriangleSides) -> float:
     """Triangle area sqrt(s (s-a) (s-b) (s-c)).
 
-    Computed in units of the longest side and scaled back.  Raises
+    Computed in units of the longest side's power of two and scaled back.  Raises
     InfeasibleError carrying the negative radicand when no triangle has
     these side lengths, and FloatRangeError when the area (or radicand) is
     too large for a float.
@@ -95,7 +95,7 @@ def heron_area(t: TriangleSides) -> float:
 def inradius(t: TriangleSides) -> float:
     """Radius of the inscribed circle: sqrt(xyz / (x+y+z)) with x,y,z = s-a, s-b, s-c.
 
-    Equals heron_area(t) / s, computed in units of the longest side.
+    Equals heron_area(t) / s, computed in units of the longest side's power of two.
     Raises InfeasibleError when any of x, y, z is negative.
     """
     unit, _, x, y, z = _unit_triangle(t)
@@ -115,7 +115,7 @@ def cayley_menger_determinant(s: SimplexSides) -> float:
     the longest side; a value outside the float range raises FloatRangeError.
     """
     d2, unit = _unit_squares(s.d.d)
-    return _from_log(*_cayley_menger_log(d2), unit, 2 * (s.m - 1), "Cayley-Menger determinant")
+    return _from_log(*_cayley_menger_log(d2)[:2], unit, 2 * (s.m - 1), "Cayley-Menger determinant")
 
 
 def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
@@ -131,8 +131,8 @@ def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     """
     n = s.m - 1
     d2, unit = _unit_squares(s.d.d)
-    sign, log = _cayley_menger_log(d2)
-    if sign == 0.0 or log - n * math.log(d2.max()) <= math.log((n + 2) ** 2 * np.finfo(float).eps):
+    sign, log, relative = _cayley_menger_log(d2)
+    if relative <= math.log((n + 2) ** 2 * np.finfo(float).eps):
         return 0.0
     sign *= (-1) ** (n - 1)
     log -= n * math.log(2.0) + 2.0 * math.lgamma(n + 1)

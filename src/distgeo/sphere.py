@@ -7,10 +7,10 @@ x to the chord lengths the geodesics would subtend on a sphere of radius
 1/x and takes the inverse circumradius of the chord tetrahedron, in closed
 form from its side lengths (R^2 = -det(D^2) / (2 det(CM)), solved through
 the anchored Gram matrix); a fixed point of that map is the sphere that
-works.  The solver has one loop: it scans a grid of x inside the bracket,
-starting from (0, pi/a_max), in one stacked evaluation and narrows the
-bracket to the first sign change, treating inverse radii where the chord
-tetrahedron stops existing as a right-bracket shrink.
+works.  The solver has one loop, in units of the longest geodesic a_max: it
+scans a grid of x inside the bracket, starting from (0, pi), in one stacked
+evaluation and narrows the bracket to the first sign change, treating inverse
+radii where the chord tetrahedron stops existing as a right-bracket shrink.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _realize_chords(c: np.ndarray, tol: Tolerances) -> tuple[Realization, int]:
     """Realize six chord lengths as 4 points in R^3, plus the affine rank."""
     unit, dec = DistanceMatrix(_pair_matrices(c))._spectrum
     _, verdict, columns = _factor_gram(dec, tol)
-    if not verdict.is_psd or verdict.rank > 3:
+    if not verdict.is_psd:
         raise NotRealizableError(verdict.min_eigenvalue * unit * unit)
     coords = np.zeros((4, 3))
     coords[:, : verdict.rank] = columns * unit
@@ -206,24 +206,23 @@ def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
 def _inverse_circumradii(
     xs: np.ndarray, g: GeodesicTetrahedron, tol: Tolerances
 ) -> np.ndarray:
-    """Inverse circumradius of the chord tetrahedron at each inverse radius in xs.
+    """Inverse circumradius of the chord tetrahedron at each inverse radius in xs, in 1/a_max.
 
-    NaN where the chord tetrahedron does not exist (not PSD, or rank above
-    3), 0.0 where it is planar (rank below 3), and otherwise 2 / sqrt(b^T
-    G^-1 b), with G the Gram matrix anchored at vertex 0 and b its diagonal:
-    the Cayley-Menger ratio R^2 = -det(D^2) / (2 det(CM)) without the two
+    NaN where the chord tetrahedron does not exist (not PSD), 0.0 where it
+    is planar (rank below 3), and otherwise 2 / sqrt(b^T G^-1 b), with G
+    the Gram matrix anchored at vertex 0 and b its diagonal: the
+    Cayley-Menger ratio R^2 = -det(D^2) / (2 det(CM)) without the two
     determinants, which lose digits on needle-shaped tetrahedra.  Chords are
     taken in units of a_max, so the residual neither over- nor underflows.
     """
-    a_max = g.a_max
-    d2 = _pair_matrices(_chords(g.a / a_max, xs[:, None] * a_max) ** 2)
+    d2 = _pair_matrices(_chords(g.a / g.a_max, xs[:, None]) ** 2)
     rank, is_psd = _classify_stack(d2, tol)
     out = np.where(is_psd & (rank < 3), 0.0, np.nan)
     solid = is_psd & (rank == 3)
     d2 = d2[solid]
     b = d2[:, 0, 1:]
     bgb = (b * np.linalg.solve(_anchor(d2), b[..., None])[..., 0]).sum(axis=-1)
-    out[solid] = 2.0 / (np.sqrt(bgb) * a_max)
+    out[solid] = 2.0 / np.sqrt(bgb)
     return out
 
 
@@ -240,8 +239,8 @@ def inverse_circumradius(
         raise ValueError(
             f"inverse radius {x!r} outside [0, pi/a_max) = [0, {math.pi / g.a_max!r})"
         )
-    value = float(_inverse_circumradii(np.array([x]), g, tol or DEFAULT_TOLERANCES)[0])
-    return None if math.isnan(value) else value
+    value = float(_inverse_circumradii(np.array([x * g.a_max]), g, tol or DEFAULT_TOLERANCES)[0])
+    return None if math.isnan(value) else value / g.a_max
 
 
 def _realized_geodesics(points: np.ndarray, radius: float) -> np.ndarray:
@@ -257,16 +256,16 @@ def embed_on_sphere(
 
     Requires the six lengths to be realizable in 3-space and non-planar
     (NotApplicableError otherwise).  The inverse radius solves the fixed
-    point of :func:`inverse_circumradius` on (0, pi/a_max).  One loop,
-    starting from the bracket (0, pi/a_max), scans SCAN_POINTS inverse radii
-    strictly inside the bracket and narrows it to the first sign change of
-    the residual until no float lies strictly between its ends; inverse
-    radii where the chord tetrahedron stops existing shrink the right
-    bracket, and a right end still at pi/a_max raises NoConvergenceError.
+    point of :func:`inverse_circumradius` on (0, pi/a_max), in units of
+    1/a_max, starting from the bracket (0, pi).  One loop scans SCAN_POINTS
+    inverse radii strictly inside the bracket and narrows it to the first
+    sign change of the residual until no float lies strictly between its
+    ends; inverse radii where the chord tetrahedron stops existing shrink
+    the right bracket, and a right end still at pi raises NoConvergenceError.
     Of several fixed points the smallest is returned, i.e. the sphere
-    closest to the flat configuration.  Both realizations work in units of
-    the longest geodesic, so the answer scales with the input over the
-    whole float range.
+    closest to the flat configuration.  The scan and both realizations work
+    in units of the longest geodesic, so the answer scales with the input
+    over the whole float range, subnormal lengths included.
     """
     tol = tol or DEFAULT_TOLERANCES
     a_max = g.a_max
@@ -288,21 +287,20 @@ def embed_on_sphere(
     # (no chord tetrahedron) compares as not positive.
     # Each pass has a grid point strictly inside (lo, hi) while a float lies
     # there, and that point moves lo up or hi down, so the loop ends.
-    x_hi = math.pi / a_max
-    lo, hi = 0.0, x_hi
+    lo, hi = 0.0, math.pi
     while np.nextafter(lo, hi) < hi:
         grid = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
         stops = np.flatnonzero(~(_inverse_circumradii(grid, g, tol) > grid))
         first = int(stops[0]) if stops.size else grid.size
         lo = float(grid[first - 1]) if first else lo
         hi = float(grid[first]) if stops.size else hi
-    if hi == x_hi:
+    if hi == math.pi:
         raise NoConvergenceError(
             "no sign change of the fixed-point residual inside (0, pi/a_max)"
         )
 
     y = lo if lo > 0.0 else hi
-    tetra, _ = _realize_chords(_chords(unit, y * a_max), tol)
+    tetra, _ = _realize_chords(_chords(unit, y), tol)
     sphere = circumradius(tetra, tol)
     if not sphere.is_finite:
         raise NoConvergenceError("fixed-point refinement landed on a planar tetrahedron")

@@ -81,8 +81,9 @@ def test_rank_tol_is_read_only_in_matrices():
 
 
 def test_determinants_are_taken_only_in_matrices():
-    # Every determinant of a distance matrix is taken on the projected Gram,
-    # so no other module calls a determinant routine or reads the basis.
+    # Every determinant of a distance matrix is one log determinant of the
+    # projected Gram, so no other module calls a determinant routine or reads
+    # the basis, and no module calls linalg.det at all.
     def found(node):
         if isinstance(node, ast.Attribute):
             return ast.unparse(node).endswith(("linalg.det", "linalg.slogdet", "._helmert"))
@@ -90,7 +91,13 @@ def test_determinants_are_taken_only_in_matrices():
             return any(alias.name in ("det", "slogdet", "_helmert") for alias in node.names)
         return isinstance(node, ast.Name) and node.id == "_helmert"
 
+    def det(node):
+        if isinstance(node, ast.Attribute):
+            return ast.unparse(node).endswith("linalg.det")
+        return isinstance(node, ast.ImportFrom) and any(alias.name == "det" for alias in node.names)
+
     assert sources_where(found) == ["matrices.py"]
+    assert sources_where(det) == []
 
 
 def test_exports_are_the_submodules_own_names():

@@ -99,7 +99,8 @@ def test_sphere_radius_scales_with_the_geodesics(jitter, k):
     assert math.isclose(scaled.radius, k * base.radius, rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("k", [1e-170, 1e-155, 1e-60, 1e60, 1e160, 1e300])
+# at 1e-309 the longest geodesic is subnormal and pi / a_max overflows
+@pytest.mark.parametrize("k", [1e-309, 1e-170, 1e-155, 1e-60, 1e60, 1e160, 1e300])
 def test_sphere_radius_scales_at_extreme_units(k):
     a = REGULAR_GEODESIC * np.array([1.0, 1.1, 0.9, 1.05, 0.95, 1.0])
     base = embed_on_sphere(GeodesicTetrahedron(a))

@@ -57,7 +57,12 @@ def random_triangle(rng):
 
 class TestHeron:
     def test_345(self):
-        assert heron_area(TriangleSides(3, 4, 5)) == pytest.approx(6.0, abs=1e-12)
+        assert heron_area(TriangleSides(3, 4, 5)) == 6.0
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_345_is_exact_under_powers_of_two(self, k):
+        t = TriangleSides(*(math.ldexp(side, k) for side in (3, 4, 5)))
+        assert heron_area(t) == math.ldexp(6.0, 2 * k)
 
     def test_equilateral(self):
         # s = 3, radicand 3*1*1*1
@@ -76,7 +81,12 @@ class TestHeron:
 class TestInradius:
     def test_345(self):
         # oracle: r = area / s = 6 / 6
-        assert inradius(TriangleSides(3, 4, 5)) == pytest.approx(1.0, abs=1e-12)
+        assert inradius(TriangleSides(3, 4, 5)) == 1.0
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_345_is_exact_under_powers_of_two(self, k):
+        t = TriangleSides(*(math.ldexp(side, k) for side in (3, 4, 5)))
+        assert inradius(t) == math.ldexp(1.0, k)
 
     def test_equilateral(self):
         # oracle: area / s = sqrt(3) / 3
@@ -282,8 +292,14 @@ class TestIsFlat:
         )
         assert is_flat(s)
 
-    def test_regular_tetrahedron_is_not(self):
-        assert not is_flat(SimplexSides(DistanceMatrix(np.ones((4, 4)) - np.eye(4))))
+    # |CM| = m in units of the side, while det P = 2^-(m-1) lies below the
+    # float range from m = 1076 on
+    @pytest.mark.parametrize("m", [4, 1100])
+    def test_regular_tetrahedron_is_not(self, m):
+        assert not is_flat(regular_simplex(m))
+
+    def test_coincident_points_are_flat(self):
+        assert is_flat(SimplexSides(DistanceMatrix(np.zeros((3, 3)))))
 
     @pytest.mark.parametrize("scale", [1e-60, 1e60])
     def test_regular_tetrahedron_is_not_at_extreme_scales(self, scale):
@@ -302,6 +318,7 @@ class TestIsFlat:
             assert is_flat(simplex_from_points(pts * scale))
 
     def test_1025_points_in_three_space(self):
-        # 2^(k-1) overflows a float from k = 1025 vertices on.
+        # 2^(k-1), the power in |CM| = k det 2P, overflows a float from
+        # k = 1025 vertices on; the test compares logs, where it does not.
         pts = np.random.default_rng(18).standard_normal((1025, 3))
         assert is_flat(simplex_from_points(pts))
