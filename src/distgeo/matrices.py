@@ -286,8 +286,9 @@ def _unit_squares(d: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _in_units(value, unit: float, power: int, quantity: str, residue=False):
-    """value * unit**power, elementwise and one factor at a time, so that a
-    partial product leaves the float range only when the result does.
+    """value * unit**power, elementwise and one factor at a time (a division
+    by unit for each negative power), so that a partial result leaves the
+    float range only when the result does.
 
     A result is lost when it overflows or a nonzero value lands below the
     normal range, where it flushes to zero or keeps only a few significant
@@ -296,8 +297,10 @@ def _in_units(value, unit: float, power: int, quantity: str, residue=False):
     raises FloatRangeError, naming the quantity and the largest magnitude
     lost.
     """
+    out = value
     with np.errstate(over="ignore"):
-        out = math.prod([unit] * power, start=value)
+        for _ in range(abs(power)):
+            out = out * unit if power > 0 else out / unit
     lost = np.isinf(out) | ((np.abs(out) < np.finfo(float).tiny) & (value != 0.0))
     zeroed = lost & residue
     if np.any(zeroed):

@@ -11,6 +11,9 @@ works.  The solver has one loop, in units of the longest geodesic a_max: it
 scans a grid of x inside the bracket, starting from (0, pi), in one stacked
 evaluation and narrows the bracket to the first sign change, treating inverse
 radii where the chord tetrahedron stops existing as a right-bracket shrink.
+The first grid is uniform; once the residual is finite at both bracket ends,
+a later grid also clusters points around the false-position estimate, so a
+smooth residual closes the bracket in a few scans.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .matrices import (
     _anchor,
     _classify_stack,
     _factor_gram,
+    _in_units,
     _readonly,
     _unit_squares,
     _ValueRecord,
@@ -56,6 +60,11 @@ VERTEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _ROWS, _COLS = np.array(VERTEX_PAIRS).T
 
 SCAN_POINTS = 64
+# Points on each side of the false-position estimate in a scan placed around
+# it (_scan_grid); the rest of its SCAN_POINTS form a uniform grid.
+_SECANT_SIDE = 11
+_SECANT_STEPS = np.linspace(0.0, 1.0, _SECANT_SIDE)
+_SECANT_UNIFORM = np.arange(1, SCAN_POINTS - 2 * _SECANT_SIDE) / (SCAN_POINTS - 2 * _SECANT_SIDE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,14 +242,41 @@ def inverse_circumradius(
 
     Returns 0.0 when the chord tetrahedron is coplanar and None when it does
     not exist (the fixed-point solver treats None as a bracket shrink).
-    Defined for 0 <= x < pi / a_max.
+    Defined for 0 <= x < pi / a_max.  An inverse circumradius that overflows
+    or lands below the normal float range raises FloatRangeError.
     """
     if not (0.0 <= x < math.pi / g.a_max):
         raise ValueError(
             f"inverse radius {x!r} outside [0, pi/a_max) = [0, {math.pi / g.a_max!r})"
         )
     value = float(_inverse_circumradii(np.array([x * g.a_max]), g, tol or DEFAULT_TOLERANCES)[0])
-    return None if math.isnan(value) else value / g.a_max
+    if math.isnan(value):
+        return None
+    return _in_units(value, g.a_max, -1, "inverse circumradius")
+
+
+def _scan_grid(lo: float, hi: float, r_lo: float, r_hi: float) -> np.ndarray:
+    """At most SCAN_POINTS increasing inverse radii strictly inside (lo, hi).
+
+    r_lo > 0 >= r_hi are the residuals at the bracket ends, NaN where none
+    is known.  Unless both are finite the grid is uniform.  Otherwise it
+    holds the false-position estimate c = lo + (hi - lo) r_lo / (r_lo - r_hi),
+    c plus and minus _SECANT_SIDE offsets geometric from (hi - lo) / 2 down
+    to the float spacing at c, and a uniform grid of odd size, which holds
+    the midpoint and bounds the widest gap when c is no guide (a step, or a
+    residual far steeper on one side).  Sorted, only the points inside the
+    bracket that increase are kept.
+    """
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
+        return np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
+    w = hi - lo
+    c = lo + w * (r_lo / (r_lo - r_hi))
+    offsets = (w / 2) * (2 * math.ulp(c) / w) ** _SECANT_STEPS
+    grid = np.concatenate([lo + w * _SECANT_UNIFORM, c - offsets, [c], c + offsets])
+    grid.sort()
+    keep = (grid > lo) & (grid < hi)
+    keep[1:] &= grid[1:] > grid[:-1]
+    return grid[keep]
 
 
 def _realized_geodesics(points: np.ndarray, radius: float) -> np.ndarray:
@@ -257,11 +293,14 @@ def embed_on_sphere(
     Requires the six lengths to be realizable in 3-space and non-planar
     (NotApplicableError otherwise).  The inverse radius solves the fixed
     point of :func:`inverse_circumradius` on (0, pi/a_max), in units of
-    1/a_max, starting from the bracket (0, pi).  One loop scans SCAN_POINTS
-    inverse radii strictly inside the bracket and narrows it to the first
-    sign change of the residual until no float lies strictly between its
-    ends; inverse radii where the chord tetrahedron stops existing shrink
-    the right bracket, and a right end still at pi raises NoConvergenceError.
+    1/a_max, starting from the bracket (0, pi).  One loop scans up to
+    SCAN_POINTS inverse radii strictly inside the bracket and narrows it to
+    the first sign change of the residual until no float lies strictly
+    between its ends; inverse radii where the chord tetrahedron stops
+    existing shrink the right bracket, and a right end still at pi raises
+    NoConvergenceError.  The first scan is uniform; while the residual is
+    finite at both ends, a later scan also clusters points around the
+    false-position estimate of the root, else it stays uniform.
     Of several fixed points the smallest is returned, i.e. the sphere
     closest to the flat configuration.  The scan and both realizations work
     in units of the longest geodesic, so the answer scales with the input
@@ -284,16 +323,22 @@ def embed_on_sphere(
 
     # The residual phi(x) - x starts positive at x = 0: phi(0) is the inverse
     # circumradius of the input itself, finite because its rank is 3.  NaN
-    # (no chord tetrahedron) compares as not positive.
-    # Each pass has a grid point strictly inside (lo, hi) while a float lies
-    # there, and that point moves lo up or hi down, so the loop ends.
+    # (no chord tetrahedron) compares as not positive.  r_lo and r_hi are the
+    # residuals at the bracket ends, NaN until a scan has met that end.
+    # Each pass holds a uniform grid, which has a point strictly inside
+    # (lo, hi) while a float lies there, and that point moves lo up or hi
+    # down, so the loop ends.
     lo, hi = 0.0, math.pi
+    r_lo = r_hi = math.nan
     while np.nextafter(lo, hi) < hi:
-        grid = np.linspace(lo, hi, SCAN_POINTS + 2)[1:-1]
-        stops = np.flatnonzero(~(_inverse_circumradii(grid, g, tol) > grid))
+        grid = _scan_grid(lo, hi, r_lo, r_hi)
+        residual = _inverse_circumradii(grid, g, tol) - grid
+        stops = np.flatnonzero(~(residual > 0))
         first = int(stops[0]) if stops.size else grid.size
-        lo = float(grid[first - 1]) if first else lo
-        hi = float(grid[first]) if stops.size else hi
+        if first:
+            lo, r_lo = float(grid[first - 1]), float(residual[first - 1])
+        if stops.size:
+            hi, r_hi = float(grid[first]), float(residual[first])
     if hi == math.pi:
         raise NoConvergenceError(
             "no sign change of the fixed-point residual inside (0, pi/a_max)"

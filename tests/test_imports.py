@@ -22,12 +22,12 @@ SUBMODULES = ("errors", "matrices", "simplex", "embedding", "semimetric", "spher
 
 
 def loaded_after(code):
-    """Sorted names of numpy and distgeo submodules loaded after running code."""
+    """Sorted names of numpy, numpy.ma and distgeo submodules loaded after running code."""
     probe = (
         f"import sys\n{code}\n"
         "import json\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m == 'numpy' or m.startswith('distgeo.'))))\n"
+        " if m in ('numpy', 'numpy.ma') or m.startswith('distgeo.'))))\n"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     return json.loads(r.stdout.splitlines()[-1])
@@ -62,6 +62,30 @@ def test_menger_loads_only_semimetric_and_matrices():
     matrix = str(Path(__file__).parent / "fixtures" / "tetra_unit.txt")
     loaded = loaded_after(f"from distgeo import cli\ncli.main(['menger', {matrix!r}, '--dim', '2'])")
     assert loaded == ["distgeo.cli", "distgeo.errors", "distgeo.matrices", "distgeo.semimetric", "numpy"]
+
+
+def test_sphere_embed_loads_only_sphere_and_matrices():
+    matrix = str(Path(__file__).parent / "fixtures" / "regular_geodesics.txt")
+    loaded = loaded_after(f"from distgeo import cli\ncli.main(['sphere-embed', {matrix!r}])")
+    assert loaded == ["distgeo.cli", "distgeo.errors", "distgeo.matrices", "distgeo.sphere", "numpy"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-edm", "triangle345.txt"],
+        ["mds", "triangle345.txt"],
+        ["volume", "tetra_unit.txt"],
+        ["menger", "tetra_unit.txt", "--dim", "2"],
+        ["sphere-embed", "regular_geodesics.txt"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_matrix_commands_leave_numpy_ma_unloaded(argv):
+    # numpy.ma loads lazily, from np.unique among others, and costs about
+    # 1 MB of resident memory
+    argv = [argv[0], str(Path(__file__).parent / "fixtures" / argv[1]), *argv[2:]]
+    assert "numpy.ma" not in loaded_after(f"from distgeo import cli\ncli.main({argv!r})")
 
 
 def sources_where(found):

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distgeo.errors import (
+    FloatRangeError,
     GeodesicTooLongError,
     NoConvergenceError,
     NotApplicableError,
@@ -203,6 +204,18 @@ class TestInverseCircumradius:
     def test_planar_chords_give_zero(self):
         assert inverse_circumradius(0.0, GeodesicTetrahedron(SQUARE_CHORDS)) == 0.0
 
+    @pytest.mark.parametrize(
+        "scale, x",
+        [(1e-309, 1e300), (5e307, 0.0)],
+        ids=["overflow", "below-normal"],
+    )
+    def test_result_outside_float_range_raises(self, scale, x):
+        # in units of 1/a_max the value is ordinary; only the final division
+        # by a_max leaves the float range
+        g = GeodesicTetrahedron(scale * REGULAR_GEODESIC * np.array([1, 1.1, 0.9, 1.05, 0.95, 1]))
+        with pytest.raises(FloatRangeError):
+            inverse_circumradius(x, g)
+
     def test_outside_interval_rejected(self):
         g = GeodesicTetrahedron(np.full(6, REGULAR_GEODESIC))
         with pytest.raises(ValueError):
@@ -331,29 +344,82 @@ class TestEmbedOnSphere:
         assert solved >= 15
 
 
+def stacked_calls_per_query(monkeypatch):
+    """Stacked residual calls of each solved query on the rng-45 cap draws."""
+    calls = []
+    residual = sphere._inverse_circumradii
+
+    def counting(xs, g, tol):
+        calls.append(xs.size)
+        return residual(xs, g, tol)
+
+    monkeypatch.setattr(sphere, "_inverse_circumradii", counting)
+    rng = np.random.default_rng(45)
+    counts = []
+    for _ in range(50):
+        del calls[:]
+        try:
+            embed_on_sphere(GeodesicTetrahedron(random_cap_geodesics(rng)))
+        except NotApplicableError:
+            continue
+        counts.append(len(calls))
+    return counts
+
+
+def closing_bracket(monkeypatch, phi):
+    """The bracket embed_on_sphere closes, and its stacked calls, when phi
+    (in units of 1/a_max) replaces the inverse circumradius map."""
+    seen = []
+
+    def recording(xs, g, tol):
+        values = phi(xs)
+        seen.append((xs.copy(), values - xs))
+        return values
+
+    monkeypatch.setattr(sphere, "_inverse_circumradii", recording)
+    embed_on_sphere(GeodesicTetrahedron(np.full(6, REGULAR_GEODESIC)))
+    xs, residuals = map(np.concatenate, zip(*seen))
+    return xs[residuals > 0].max(), xs[~(residuals > 0)].min(), len(seen)
+
+
 class TestRefinementWork:
     def test_few_stacked_residual_calls_per_query(self, monkeypatch):
-        # about ten scans close the bracket to adjacent floats; one residual
-        # at a time, bisection takes about fifty
-        calls = []
-        residual = sphere._inverse_circumradii
+        # the first scan is uniform, and later ones cluster around the
+        # false-position estimate, so about five scans close the bracket to
+        # adjacent floats; one residual at a time, bisection takes about fifty
+        counts = stacked_calls_per_query(monkeypatch)
+        assert all(count <= 12 for count in counts)
+        assert len(counts) >= 15
 
-        def counting(xs, g, tol):
-            calls.append(xs.size)
-            return residual(xs, g, tol)
+    def test_secant_scans_cut_the_calls(self, monkeypatch):
+        # uniform scans alone gain about 6 bits each and take 9 to 10 calls
+        counts = stacked_calls_per_query(monkeypatch)
+        assert len(counts) >= 15
+        assert np.mean(counts) <= 7
+        assert max(counts) <= 10
 
-        monkeypatch.setattr(sphere, "_inverse_circumradii", counting)
-        rng = np.random.default_rng(45)
-        solved = 0
-        for _ in range(50):
-            del calls[:]
-            try:
-                embed_on_sphere(GeodesicTetrahedron(random_cap_geodesics(rng)))
-            except NotApplicableError:
-                continue
-            solved += 1
-            assert len(calls) <= 12
-        assert solved >= 15
+    @pytest.mark.parametrize("x0", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            # a step: the false-position estimate is always the midpoint
+            lambda x0: lambda xs: xs + np.where(xs < x0, 1.0, -1.0),
+            # no chord tetrahedron above x0: the grid stays uniform
+            lambda x0: lambda xs: np.where(xs < x0, xs + 1.0, np.nan),
+            # flat below, steep above: the estimate rounds onto the left end
+            lambda x0: lambda xs: np.where(xs < x0, x0, xs + 1e300 * (x0 - xs)),
+            # steep below, flat above: the estimate rounds onto the right end
+            lambda x0: lambda xs: np.where(xs < x0, xs + 1e300 * (x0 - xs), x0),
+            # linear with the float x0 as its root: the residual is exactly 0 there
+            lambda x0: lambda xs: 2 * x0 - xs,
+        ],
+        ids=["step", "nan-above", "flat-below", "flat-above", "linear"],
+    )
+    def test_secant_grid_closes_on_synthetic_residuals(self, monkeypatch, phi, x0):
+        lo, hi, calls = closing_bracket(monkeypatch, phi(x0))
+        assert lo < x0 <= hi
+        assert np.nextafter(lo, hi) == hi
+        assert calls <= 12
 
     def test_no_sign_change_raises_no_convergence(self, monkeypatch):
         # the residual stays positive on all of (0, pi/a_max), so the
