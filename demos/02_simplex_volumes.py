@@ -7,6 +7,10 @@ the textbook volume, and it vanishes on flat configurations.  distgeo takes
 it as one log determinant of the projected Gram -1/2 R^T D^2 R, with the
 factorial of the volume formula as lgamma, so a volume far below 1 (the
 regular simplex on 150 vertices, about 1e-282) comes back in full.
+Whether sides have a volume at all, and whether it is zero, is read off the
+same centered Gram spectrum that classify_edm reads, so a tall, thin
+tetrahedron keeps its volume; is_flat, the Menger report's determinant
+rule, calls that tetrahedron flat.
 """
 
 import math
@@ -15,9 +19,12 @@ import numpy as np
 
 from distgeo import (
     DistanceMatrix,
+    Realization,
     SimplexSides,
     TriangleSides,
     cayley_menger_determinant,
+    classify_edm,
+    edm_from_realization,
     heron_area,
     inradius,
     is_flat,
@@ -38,6 +45,13 @@ def main():
     big = SimplexSides(DistanceMatrix(np.ones((150, 150)) - np.eye(150)))
     print(f"regular simplex on 150 vertices: volume={simplex_volume(big):.11e}"
           "  (sqrt(150 / (2^149 (149!)^2)) = 1.20367378120e-282)")
+
+    # a unit equilateral base with the apex 1e4 above its centroid
+    tall_points = [[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0], [0.5, math.sqrt(3) / 6, 1e4]]
+    tall = SimplexSides(edm_from_realization(Realization(tall_points)))
+    print(f"tall tetrahedron of height 1e4: rank={classify_edm(tall.d).dim}, "
+          f"volume={simplex_volume(tall):.12g}  (sqrt(3)/12 * 1e4 = {math.sqrt(3) / 12 * 1e4:.12g})")
+    print(f"  the determinant rule calls it flat: is_flat={is_flat(tall)}")
 
     s2 = math.sqrt(2)
     square = SimplexSides(

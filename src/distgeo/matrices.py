@@ -147,9 +147,10 @@ class DistanceMatrix(_ValueRecord):
     def _spectrum(self) -> tuple[float, "SpectralDecomposition"]:
         """``(unit, spectrum)`` of the centered Gram matrix -1/2 J D^2 J in
         units of the largest distance (:func:`_unit_squares`): the one
-        eigendecomposition behind classify_edm, classical_mds and
-        congruently_embeddable.  Free of tolerances, so each caller takes
-        its own rank cut.  Its arrays are read-only, like ``d``."""
+        eigendecomposition behind classify_edm, classical_mds,
+        congruently_embeddable and simplex_volume.  Free of tolerances, so
+        each caller takes its own rank cut.  Its arrays are read-only, like
+        ``d``."""
         d2, unit = _unit_squares(self.d)
         return unit, symmetric_eigendecomposition(_center(d2))
 

@@ -2,7 +2,10 @@
 
 Triangle area and inradius from the semiperimeter product, Cayley-Menger
 determinants and simplex volumes in any dimension from one log determinant
-of the projected Gram, and a unit-invariant flatness test.
+of the projected Gram, and a unit-invariant flatness test.  Whether a
+volume exists, and whether it is zero, is read off the centered Gram
+spectrum, as classify_edm reads it; the flatness test is the determinant
+rule of the Menger report.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances
+from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances, _factor_gram
 from .matrices import _cayley_menger_log, _flat_stack, _from_log, _in_units, _unit_squares
 
 __all__ = [
@@ -121,32 +124,44 @@ def cayley_menger_determinant(s: SimplexSides) -> float:
 def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     """Volume of the (m-1)-simplex with the given side lengths.
 
-    Uses V_n^2 = (-1)^(n-1) / (2^n (n!)^2) * CM with n = m-1, in log space
-    from :func:`cayley_menger_determinant`'s log and lgamma.  Within its
-    rounding level, |CM| <= (m+1)^2 eps in units of the largest squared
-    side, the volume is exactly 0.0.  A negative squared volume gives 0.0
-    on a simplex that :func:`is_flat` calls flat and otherwise raises
-    InfeasibleError carrying it.  A volume (or squared volume) outside the
-    float range raises FloatRangeError.
+    Both decisions come from the centered Gram spectrum that the side matrix
+    caches (``s.d._spectrum``), the one that :func:`distgeo.embedding.classify_edm`
+    reads, so the two never disagree on realizability.  Sides that are not
+    an EDM at its rank cut raise InfeasibleError carrying the Cayley-Menger
+    squared volume, which is positive when an even number of eigenvalues
+    are negative.  An EDM whose (m-1)-th largest eigenvalue is at most
+    (m+1)^2 eps times the largest, rounding residue, has volume exactly 0.0.
+    Otherwise the value is V_n^2 = (-1)^(n-1) / (2^n (n!)^2) * CM with
+    n = m-1, in log space from :func:`cayley_menger_determinant`'s log and
+    lgamma.  A volume (or squared volume) outside the float range raises
+    FloatRangeError.
     """
     n = s.m - 1
+    w, verdict, _ = _factor_gram(s.d._spectrum[1], tol or DEFAULT_TOLERANCES)
     d2, unit = _unit_squares(s.d.d)
-    sign, log, relative = _cayley_menger_log(d2)
-    if relative <= math.log((n + 2) ** 2 * np.finfo(float).eps):
-        return 0.0
+    sign, log, _ = _cayley_menger_log(d2)
     sign *= (-1) ** (n - 1)
     log -= n * math.log(2.0) + 2.0 * math.lgamma(n + 1)
-    if sign < 0.0 and not _flat_stack(d2, tol or DEFAULT_TOLERANCES):
+    if not verdict.is_psd:
         raise InfeasibleError(
             "side lengths are not realizable", _from_log(sign, log, unit, 2 * n, "squared volume")
         )
+    if w[n - 1] <= (n + 2) ** 2 * np.finfo(float).eps * w[0]:
+        return 0.0
     return _from_log(max(sign, 0.0), 0.5 * log, unit, n, "volume")
 
 
 def is_flat(s: SimplexSides, tol: Tolerances | None = None) -> bool:
-    """True when the simplex has zero volume within tolerance.
+    """True when the Cayley-Menger determinant is small: the Menger report's
+    determinant rule, applied to the whole simplex.
 
-    The determinant is normalized by (max squared distance)^(m-1) so the
-    test does not depend on measurement units.
+    In units of the largest squared side, flat when |CM| <= rank_tol,
+    compared in log space so that no power under- or overflows and the
+    test does not depend on measurement units.  A determinant is a product
+    of eigenvalues, so this is not the spectral test that
+    :func:`simplex_volume` and :func:`distgeo.embedding.classify_edm` take:
+    one long side drives |CM| toward 0, and the tetrahedron on a unit
+    triangle with height 1e4, an EDM of rank 3 and volume 1443.38, counts
+    as flat here.
     """
     return bool(_flat_stack(_unit_squares(s.d.d)[0], tol or DEFAULT_TOLERANCES))

@@ -11,7 +11,9 @@ works.  The solver has one loop, in units of the longest geodesic a_max: it
 scans a grid of x inside the bracket, starting from (0, pi), in one stacked
 evaluation and narrows the bracket to the first sign change, treating inverse
 radii where the chord tetrahedron stops existing as a right-bracket shrink.
-The first grid is uniform; once the residual is finite at both bracket ends,
+The first grid is uniform and also holds x = 0, where the chord tetrahedron
+is the input itself, so the same scan says whether the input is realizable
+in 3-space and not planar; once the residual is finite at both bracket ends,
 a later grid also clusters points around the false-position estimate, so a
 smooth residual closes the bracket in a few scans.
 """
@@ -162,15 +164,15 @@ def chord_length(alpha: float, x: float) -> float:
     return float(_chords(alpha, x))
 
 
-def _realize_chords(c: np.ndarray, tol: Tolerances) -> tuple[Realization, int]:
-    """Realize six chord lengths as 4 points in R^3, plus the affine rank."""
+def _realize_chords(c: np.ndarray, tol: Tolerances) -> Realization:
+    """Realize six chord lengths as 4 points in R^3."""
     unit, dec = DistanceMatrix(_pair_matrices(c))._spectrum
     _, verdict, columns = _factor_gram(dec, tol)
     if not verdict.is_psd:
         raise NotRealizableError(verdict.min_eigenvalue * unit * unit)
     coords = np.zeros((4, 3))
     coords[:, : verdict.rank] = columns * unit
-    return Realization(coords), verdict.rank
+    return Realization(coords)
 
 
 def tetrahedron_from_chords(c, tol: Tolerances | None = None) -> Realization:
@@ -184,8 +186,7 @@ def tetrahedron_from_chords(c, tol: Tolerances | None = None) -> Realization:
     c = np.asarray(c, dtype=float)
     if c.shape != (6,):
         raise ValueError(f"expected 6 chord lengths, got shape {c.shape}")
-    realization, _ = _realize_chords(c, tol)
-    return realization
+    return _realize_chords(c, tol)
 
 
 def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
@@ -298,40 +299,32 @@ def embed_on_sphere(
     the first sign change of the residual until no float lies strictly
     between its ends; inverse radii where the chord tetrahedron stops
     existing shrink the right bracket, and a right end still at pi raises
-    NoConvergenceError.  The first scan is uniform; while the residual is
-    finite at both ends, a later scan also clusters points around the
-    false-position estimate of the root, else it stays uniform.
-    Of several fixed points the smallest is returned, i.e. the sphere
-    closest to the flat configuration.  The scan and both realizations work
-    in units of the longest geodesic, so the answer scales with the input
-    over the whole float range, subnormal lengths included.
+    NoConvergenceError.  The first scan is uniform and also takes x = 0,
+    the input itself, whose residual is the one realizability and
+    planarity verdict; while the residual is finite at both ends, a later
+    scan also clusters points around the false-position estimate of the
+    root, else it stays uniform.  Of several fixed points the smallest is
+    returned, i.e. the sphere closest to the flat configuration.  The scan
+    and the realization work in units of the longest geodesic, so the
+    answer scales with the input over the whole float range, subnormal
+    lengths included.
     """
     tol = tol or DEFAULT_TOLERANCES
     a_max = g.a_max
     unit = g.a / a_max
-    try:
-        _, rank = _realize_chords(unit, tol)
-    except NotRealizableError as err:
-        raise NotApplicableError(
-            "side lengths are not realizable in 3-space (eigenvalue "
-            f"{err.eigenvalue:g} in units of the longest side squared)"
-        ) from err
-    if rank < 3:
-        raise NotApplicableError(
-            "side lengths are realizable in the plane; no sphere is needed"
-        )
 
-    # The residual phi(x) - x starts positive at x = 0: phi(0) is the inverse
-    # circumradius of the input itself, finite because its rank is 3.  NaN
-    # (no chord tetrahedron) compares as not positive.  r_lo and r_hi are the
-    # residuals at the bracket ends, NaN until a scan has met that end.
-    # Each pass holds a uniform grid, which has a point strictly inside
-    # (lo, hi) while a float lies there, and that point moves lo up or hi
-    # down, so the loop ends.
+    # The first scan also takes x = 0, where phi(0) is the inverse
+    # circumradius of the input itself: NaN when it is not realizable and
+    # 0.0 when it is planar, so a first stop there ends the solve at
+    # hi = 0.  NaN (no chord tetrahedron) compares as not positive.  r_lo
+    # and r_hi are the residuals phi(x) - x at the bracket ends, NaN until
+    # a scan has met that end.  Each later pass holds a uniform grid, which
+    # has a point strictly inside (lo, hi) while a float lies there, and
+    # that point moves lo up or hi down, so the loop ends.
     lo, hi = 0.0, math.pi
     r_lo = r_hi = math.nan
-    while np.nextafter(lo, hi) < hi:
-        grid = _scan_grid(lo, hi, r_lo, r_hi)
+    grid = np.linspace(lo, hi, SCAN_POINTS + 2)[:-1]
+    while True:
         residual = _inverse_circumradii(grid, g, tol) - grid
         stops = np.flatnonzero(~(residual > 0))
         first = int(stops[0]) if stops.size else grid.size
@@ -339,13 +332,24 @@ def embed_on_sphere(
             lo, r_lo = float(grid[first - 1]), float(residual[first - 1])
         if stops.size:
             hi, r_hi = float(grid[first]), float(residual[first])
+        if not np.nextafter(lo, hi) < hi:
+            break
+        grid = _scan_grid(lo, hi, r_lo, r_hi)
+    if hi == 0.0 and math.isnan(r_hi):
+        eigenvalue = DistanceMatrix(_pair_matrices(unit))._spectrum[1].eigenvalues[-1]
+        raise NotApplicableError(
+            "side lengths are not realizable in 3-space (eigenvalue "
+            f"{eigenvalue:g} in units of the longest side squared)"
+        )
+    if hi == 0.0:
+        raise NotApplicableError("side lengths are realizable in the plane; no sphere is needed")
     if hi == math.pi:
         raise NoConvergenceError(
             "no sign change of the fixed-point residual inside (0, pi/a_max)"
         )
 
     y = lo if lo > 0.0 else hi
-    tetra, _ = _realize_chords(_chords(unit, y), tol)
+    tetra = _realize_chords(_chords(unit, y), tol)
     sphere = circumradius(tetra, tol)
     if not sphere.is_finite:
         raise NoConvergenceError("fixed-point refinement landed on a planar tetrahedron")

@@ -192,6 +192,29 @@ class TestVolume:
         assert r.stdout == ""
         assert r.stderr == "error: volume of about 10^-331.3 does not fit in a float\n"
 
+    def test_tall_tetrahedron_agrees_with_check_edm(self, tmp_path):
+        # a unit equilateral base with the apex 1e4 above its centroid
+        h = math.sqrt(3)
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0.5, h / 2, 0], [0.5, h / 6, 1e4]])
+        f = tmp_path / "tall.txt"
+        np.savetxt(f, np.linalg.norm(pts[:, None] - pts[None, :], axis=-1), fmt="%.17g")
+        assert run_cli("check-edm", f).stdout == "EDM r=3\n"
+        r = run_cli("volume", f)
+        assert r.returncode == 0
+        assert r.stdout == "1443.37567297\n"
+
+    @pytest.mark.parametrize("m", [14, 20])
+    def test_long_side_in_a_regular_simplex_is_infeasible(self, tmp_path, m):
+        d = np.ones((m, m)) - np.eye(m)
+        d[0, 1] = d[1, 0] = 3.0
+        f = tmp_path / f"long_side{m}.txt"
+        np.savetxt(f, d, fmt="%g")
+        assert run_cli("check-edm", f).stdout.startswith("NOT-EDM lambda_min=-")
+        r = run_cli("volume", f)
+        assert r.returncode == 1
+        assert r.stderr == ""
+        assert r.stdout.startswith("INFEASIBLE V2=")
+
 
 class TestVolumeAndHeron:
     def test_heron_345(self):

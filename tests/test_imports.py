@@ -124,6 +124,29 @@ def test_determinants_are_taken_only_in_matrices():
     assert sources_where(det) == []
 
 
+def test_flatness_kernel_serves_only_is_flat_and_the_menger_report():
+    # Realizability and zero volume are read off the spectrum; the
+    # determinant rule stays with the two flatness reports that are
+    # compared subset by subset, so no other decision slides back onto it.
+    def uses(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "_flat_stack"
+        return isinstance(node, ast.Name) and node.id == "_flat_stack"
+
+    callers = []
+
+    def found(node):
+        # The module node comes first in the walk: name each top-level
+        # statement that uses the kernel.
+        if isinstance(node, ast.Module):
+            tops = [top for top in node.body if any(map(uses, ast.walk(top)))]
+            callers.extend(getattr(top, "name", "<module>") for top in tops)
+        return uses(node)
+
+    assert sources_where(found) == ["semimetric.py", "simplex.py"]
+    assert sorted(callers) == ["is_flat", "verify_menger_criterion"]
+
+
 def test_exports_are_the_submodules_own_names():
     union = []
     for short in SUBMODULES:

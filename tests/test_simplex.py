@@ -11,7 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distgeo.embedding import classify_edm
 from distgeo.errors import FloatRangeError, InfeasibleError
 from distgeo.matrices import DistanceMatrix, Realization, edm_from_realization
 from distgeo.simplex import (
@@ -25,6 +28,10 @@ from distgeo.simplex import (
 )
 
 REGULAR_TETRA_VOLUME = 1 / (6 * math.sqrt(2))  # 0.1178511301977579
+# a unit equilateral base with the apex 1e4 above its centroid: an EDM of
+# rank 3 and volume sqrt(3)/12 * 1e4, while |CM| in units of the longest
+# side squared is about 6e-16, below (m+1)^2 eps
+TALL_TETRAHEDRON = [[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0], [0.5, math.sqrt(3) / 6, 1e4]]
 
 
 def regular_simplex(m):
@@ -45,6 +52,13 @@ def assert_close(got, want):
 
 def simplex_from_points(pts):
     return SimplexSides(edm_from_realization(Realization(pts)))
+
+
+def regular_with_long_side(m):
+    """ones(m, m) - eye(m) with d(0, 1) = 3: it holds a 1-1-3 triangle."""
+    d = np.ones((m, m)) - np.eye(m)
+    d[0, 1] = d[1, 0] = 3.0
+    return SimplexSides(DistanceMatrix(d))
 
 
 def random_triangle(rng):
@@ -266,6 +280,53 @@ class TestSimplexVolume:
             else:
                 with pytest.raises(FloatRangeError, match="^volume of about"):
                     simplex_volume(regular_simplex(m))
+
+    def test_tall_tetrahedron_keeps_its_volume(self):
+        s = simplex_from_points(np.array(TALL_TETRAHEDRON))
+        assert classify_edm(s.d).dim == 3
+        assert simplex_volume(s) == pytest.approx(math.sqrt(3) / 12 * 1e4, rel=1e-12, abs=0)
+
+    def test_elongated_simplex_keeps_its_volume(self):
+        # legs e1 ... e4 and the apex 1000 e5: det 1000 over 5!
+        pts = np.zeros((6, 5))
+        pts[1:5, :4] = np.eye(4)
+        pts[5, 4] = 1000.0
+        assert simplex_volume(simplex_from_points(pts)) == pytest.approx(25 / 3, rel=1e-12, abs=0)
+
+    # one long side drives |CM| in units of the largest squared side toward
+    # 0 as m grows, but the 1-1-3 triangle keeps a negative eigenvalue
+    @pytest.mark.parametrize("m", [13, 14, 20])
+    def test_long_side_in_a_regular_simplex_is_infeasible(self, m):
+        s = regular_with_long_side(m)
+        with pytest.raises(InfeasibleError) as err:
+            simplex_volume(s)
+        n = m - 1
+        squared = (-1) ** (n - 1) * cayley_menger_determinant(s) / (2**n * math.factorial(n) ** 2)
+        assert err.value.value == pytest.approx(squared, rel=1e-12, abs=0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.integers(3, 8),
+        st.sampled_from([1e-6, 1.0, 1e6]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_infeasible_exactly_when_not_an_edm(self, m, unit, perturbed, seed):
+        rng = np.random.default_rng(seed)
+        if perturbed:
+            # an EDM of points in R^(m-1), each side off by up to 10^(-12 ... -2)
+            d = edm_from_realization(Realization(rng.standard_normal((m, m - 1)))).d
+            d = d * (1.0 + 10.0 ** rng.uniform(-12, -2) * rng.uniform(-1, 1, (m, m)))
+        else:
+            d = rng.uniform(0.1, 1.0, (m, m))
+        d = np.triu(d, 1)
+        s = SimplexSides(DistanceMatrix(unit * (d + d.T)))
+        try:
+            simplex_volume(s)
+            infeasible = False
+        except InfeasibleError:
+            infeasible = True
+        assert infeasible == (not classify_edm(s.d).is_edm)
 
     def test_volume_beyond_float_range(self):
         s = SimplexSides(DistanceMatrix(1e104 * (np.ones((4, 4)) - np.eye(4))))

@@ -282,12 +282,17 @@ class TestEmbedOnSphere:
             assert rt == pytest.approx(t * r1, rel=1e-6)
 
     def test_planar_input_not_applicable(self):
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(NotApplicableError) as err:
             embed_on_sphere(GeodesicTetrahedron(SQUARE_CHORDS))
+        assert str(err.value) == "side lengths are realizable in the plane; no sphere is needed"
 
     def test_unrealizable_input_not_applicable(self):
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(NotApplicableError) as err:
             embed_on_sphere(GeodesicTetrahedron(np.array([1, 1, 1, 3, 1, 1.0])))
+        assert str(err.value) == (
+            "side lengths are not realizable in 3-space"
+            " (eigenvalue -0.166667 in units of the longest side squared)"
+        )
 
     def test_fixed_point_residual_and_round_trip(self):
         rng = np.random.default_rng(41)
@@ -390,6 +395,43 @@ class TestRefinementWork:
         counts = stacked_calls_per_query(monkeypatch)
         assert all(count <= 12 for count in counts)
         assert len(counts) >= 15
+
+    def test_input_is_realized_once_after_the_scan(self, monkeypatch):
+        # the first scan's residual at x = 0 says whether the input is
+        # realizable and not planar, so the only realization is the final one
+        events = []
+        residual, realize = sphere._inverse_circumradii, sphere._realize_chords
+
+        def scanning(xs, g, tol):
+            events.append("scan")
+            return residual(xs, g, tol)
+
+        def realizing(c, tol):
+            events.append("realize")
+            return realize(c, tol)
+
+        monkeypatch.setattr(sphere, "_inverse_circumradii", scanning)
+        monkeypatch.setattr(sphere, "_realize_chords", realizing)
+        rng = np.random.default_rng(45)
+        solved = refused = 0
+        for _ in range(50):
+            del events[:]
+            try:
+                embed_on_sphere(GeodesicTetrahedron(random_cap_geodesics(rng)))
+            except NotApplicableError:
+                refused += 1
+                assert events == ["scan"]
+                continue
+            solved += 1
+            assert events[0] == "scan"
+            assert events[-1] == "realize"
+            assert events.count("realize") == 1
+        assert solved >= 15 and refused >= 1
+        # taking x = 0 into the first scan adds no call: the 19 solved draws
+        # take 100 stacked calls, as when the input was realized first
+        monkeypatch.setattr(sphere, "_inverse_circumradii", residual)
+        counts = stacked_calls_per_query(monkeypatch)
+        assert (len(counts), sum(counts)) == (19, 100)
 
     def test_secant_scans_cut_the_calls(self, monkeypatch):
         # uniform scans alone gain about 6 bits each and take 9 to 10 calls
