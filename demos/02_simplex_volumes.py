@@ -7,10 +7,11 @@ the textbook volume, and it vanishes on flat configurations.  distgeo takes
 it as one log determinant of the projected Gram -1/2 R^T D^2 R, with the
 factorial of the volume formula as lgamma, so a volume far below 1 (the
 regular simplex on 150 vertices, about 1e-282) comes back in full.
-Whether sides have a volume at all, and whether it is zero, is read off the
-same centered Gram spectrum that classify_edm reads, so a tall, thin
-tetrahedron keeps its volume; is_flat, the Menger report's determinant
-rule, calls that tetrahedron flat.
+Whether sides have a volume at all, whether it is zero, and whether they
+are flat is read off the same centered Gram spectrum that classify_edm
+reads, so a tall, thin tetrahedron keeps its volume and is not flat, though
+one long side drives its Cayley-Menger determinant, in units of that side,
+toward 0.
 """
 
 import math
@@ -51,7 +52,7 @@ def main():
     tall = SimplexSides(edm_from_realization(Realization(tall_points)))
     print(f"tall tetrahedron of height 1e4: rank={classify_edm(tall.d).dim}, "
           f"volume={simplex_volume(tall):.12g}  (sqrt(3)/12 * 1e4 = {math.sqrt(3) / 12 * 1e4:.12g})")
-    print(f"  the determinant rule calls it flat: is_flat={is_flat(tall)}")
+    print(f"  and it is not flat: is_flat={is_flat(tall)}")
 
     s2 = math.sqrt(2)
     square = SimplexSides(

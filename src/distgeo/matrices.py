@@ -4,8 +4,9 @@ Distance and Gram matrix types, double centering, the symmetric
 eigendecomposition (LAPACK ``eigh``), positive-semidefiniteness tests, and
 the conversions between Gram matrices and point realizations that underpin
 classical multidimensional scaling.  Every rank cut in the toolkit is taken
-here, relative to the spectral radius of the Gram matrix, and so are the
-flatness test and every determinant of a distance matrix.
+here, relative to the spectral radius of the Gram matrix, and so is every
+determinant of a distance matrix.  Flatness is a rank question too: a
+subset is flat when its projected Gram has an eigenvalue within the cut.
 
 All values are immutable after construction (backing arrays are read-only)
 and every operation is a pure function of its inputs.
@@ -436,22 +437,29 @@ def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
     return _rank_cut(w, tol)
 
 
-def _cayley_menger_log(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cayley_menger_log(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each k >= 2 point matrix in a stack of squared distances, the sign and natural log
-    of |CM|, CM = (-1)^k k det 2P with P its :func:`_project`ed Gram, and log |CM| in units of the
-    matrix's largest entry (floored at the smallest normal float: zeros give -inf, not NaN)."""
+    of |CM|, CM = (-1)^k k det 2P with P its :func:`_project`ed Gram."""
     k = d2.shape[-1]
     sign, log = np.linalg.slogdet(2.0 * _project(d2))
-    log += math.log(k)
-    top = np.log(d2.max(axis=(-2, -1), initial=np.finfo(float).tiny))
-    return (-1) ** k * sign, log, log - (k - 1) * top
+    return (-1) ** k * sign, log + math.log(k)
 
 
-def _flat_stack(d2: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Flatness of a stack of squared distance matrices of k >= 2 points: in units of
-    its own largest entry, a matrix's Cayley-Menger determinant is at most rank_tol in
-    size, compared in log space so that no power under- or overflows."""
-    return _cayley_menger_log(d2)[2] <= math.log(tol.rank_tol)
+def _flat_stack(d2: np.ndarray, cut: float) -> np.ndarray:
+    """Flatness of a stack of squared distance matrices of k >= 2 points: the
+    :func:`_project`ed Gram has an eigenvalue within the absolute ``cut`` in size.
+
+    Every eigenvalue is at most the Frobenius norm in size, so a matrix with an
+    eigenvalue within the cut has |det P| <= cut ||P||_F^(k-2).  Rows whose
+    determinant clears twice that bound (a margin for rounding) are not flat;
+    only the rest reach ``eigvalsh``.
+    """
+    p = _project(d2)
+    bound = math.log(2.0 * cut) + (d2.shape[-1] - 2) * np.log(np.linalg.norm(p, axis=(-2, -1)))
+    undecided = np.linalg.slogdet(p)[1] <= bound
+    flat = np.zeros(d2.shape[:-2], dtype=bool)
+    flat[undecided] = (np.abs(np.linalg.eigvalsh(p[undecided])) <= cut).any(axis=-1)
+    return flat
 
 
 def _factor_gram(

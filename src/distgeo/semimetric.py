@@ -5,8 +5,10 @@ distinct points; the triangle inequality is NOT required.  Congruence
 between two spaces is a distance-preserving bijection.  Embeddability of a
 space in R^n is decided two independent ways: through the PSD test on the
 centered Gram matrix, and through the finitistic criterion that checks
-small subsets only -- an independent (n+1)-point base plus vanishing
-Cayley-Menger determinants on all (n+2)- and (n+3)-point subsets.
+small subsets only -- an independent (n+1)-point base plus flat (n+2)- and
+(n+3)-point subsets, those whose Cayley-Menger determinant vanishes.  Both
+routes read eigenvalues against one rank cut: a subset is flat when its
+projected Gram has an eigenvalue within the whole space's cut.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .matrices import (
     _classify_stack,
     _factor_gram,
     _flat_stack,
+    _threshold,
     _unit_squares,
     validate_distance_matrix,
 )
@@ -142,8 +145,10 @@ class MengerReport:
     Conditions:
       base  -- every min(dim+1, n)-point subset is itself a Euclidean
                distance matrix;
-      flat2 -- the Cayley-Menger determinant vanishes on every (dim+2)-subset;
-      flat3 -- the Cayley-Menger determinant vanishes on every (dim+3)-subset;
+      flat2 -- every (dim+2)-subset is flat: its Cayley-Menger determinant
+               vanishes, read as an eigenvalue of its projected Gram
+               within the rank cut of the whole space;
+      flat3 -- the same on every (dim+3)-subset;
       flat3_anchored -- same, restricted to (dim+3)-subsets containing the
                independent anchor subset (the theorem-statement reading;
                checked only when an anchor exists).
@@ -417,13 +422,15 @@ def verify_menger_criterion(
     """Run the finitistic embeddability criterion over every small subset.
 
     Checks, for n = ``dim``: (base) every min(n+1, |S|)-point subset is a
-    Euclidean distance matrix; (flat2) every (n+2)-point subset and (flat3)
-    every (n+3)-point subset has a vanishing Cayley-Menger determinant, by
-    :func:`distgeo.simplex.is_flat`'s unit-invariant rule.  Both quantifier
-    readings of the third condition are reported: over all (n+3)-subsets,
-    and only over those containing the independent anchor subset, read off
-    the full scan.  All subsets of one size are tested as one stacked
-    array, in lexicographic order.
+    Euclidean distance matrix at its own rank cut; (flat2) every
+    (n+2)-point subset and (flat3) every (n+3)-point subset is flat: its
+    projected Gram has an eigenvalue within the rank cut of the whole
+    space's centered Gram (``s.d._spectrum``, which the PSD route reads
+    too), so the two routes take one threshold.  Both quantifier readings
+    of the third condition are reported: over all (n+3)-subsets, and only
+    over those containing the independent anchor subset, read off the full
+    scan.  All subsets of one size are tested as one stacked array, in
+    lexicographic order.
     """
     tol = tol or DEFAULT_TOLERANCES
     if dim < 0:
@@ -433,6 +440,12 @@ def verify_menger_criterion(
         raise TooLargeError(n, MENGER_SUBSET_CAP)
 
     d2, _ = _unit_squares(s.d.d)
+    w = s.d._spectrum[1].eigenvalues
+    cut = _threshold(w, tol)
+    # Each subset's projected Gram is a compression of the centered Gram, so
+    # by Cauchy interlacing its smallest eigenvalue lies between w[-1] and
+    # w[dim]: within the cut, with room for rounding, for every subset at once.
+    all_flat = dim + 2 > n or (w[dim] <= cut / 2 and w[-1] >= -cut / 2)
 
     def failures(rows: np.ndarray, failing: np.ndarray) -> tuple:
         return tuple(map(tuple, rows[failing].tolist()))
@@ -440,9 +453,9 @@ def verify_menger_criterion(
     def not_flat(k: int) -> tuple[np.ndarray, np.ndarray]:
         # A size past n has no subsets, and its kernel would build a k-point basis.
         rows = _combination_rows(n, k)
-        if not len(rows):
-            return rows, np.zeros(0, dtype=bool)
-        return rows, ~_flat_stack(_submatrices(d2, rows), tol)
+        if all_flat or not len(rows):
+            return rows, np.zeros(len(rows), dtype=bool)
+        return rows, ~_flat_stack(_submatrices(d2, rows), cut)
 
     # The anchor is the first base subset realizing dimension exactly dim.
     # When n < dim+1 the base subsets have rank below dim, so none exists.

@@ -3,9 +3,9 @@
 Triangle area and inradius from the semiperimeter product, Cayley-Menger
 determinants and simplex volumes in any dimension from one log determinant
 of the projected Gram, and a unit-invariant flatness test.  Whether a
-volume exists, and whether it is zero, is read off the centered Gram
-spectrum, as classify_edm reads it; the flatness test is the determinant
-rule of the Menger report.
+volume exists, whether it is zero, and whether the simplex is flat are all
+read off the centered Gram spectrum at the rank cut, as classify_edm reads
+it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances, _factor_gram
-from .matrices import _cayley_menger_log, _flat_stack, _from_log, _in_units, _unit_squares
+from .matrices import _cayley_menger_log, _from_log, _in_units, _threshold, _unit_squares
 
 __all__ = [
     "TriangleSides",
@@ -118,7 +118,7 @@ def cayley_menger_determinant(s: SimplexSides) -> float:
     the longest side; a value outside the float range raises FloatRangeError.
     """
     d2, unit = _unit_squares(s.d.d)
-    return _from_log(*_cayley_menger_log(d2)[:2], unit, 2 * (s.m - 1), "Cayley-Menger determinant")
+    return _from_log(*_cayley_menger_log(d2), unit, 2 * (s.m - 1), "Cayley-Menger determinant")
 
 
 def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
@@ -139,7 +139,7 @@ def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     n = s.m - 1
     w, verdict, _ = _factor_gram(s.d._spectrum[1], tol or DEFAULT_TOLERANCES)
     d2, unit = _unit_squares(s.d.d)
-    sign, log, _ = _cayley_menger_log(d2)
+    sign, log = _cayley_menger_log(d2)
     sign *= (-1) ** (n - 1)
     log -= n * math.log(2.0) + 2.0 * math.lgamma(n + 1)
     if not verdict.is_psd:
@@ -152,16 +152,17 @@ def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
 
 
 def is_flat(s: SimplexSides, tol: Tolerances | None = None) -> bool:
-    """True when the Cayley-Menger determinant is small: the Menger report's
-    determinant rule, applied to the whole simplex.
+    """True when, besides the centering null, the centered Gram spectrum that
+    the side matrix caches (``s.d._spectrum``) has an eigenvalue within the
+    rank cut: the simplex spans fewer than m-1 dimensions.
 
-    In units of the largest squared side, flat when |CM| <= rank_tol,
-    compared in log space so that no power under- or overflows and the
-    test does not depend on measurement units.  A determinant is a product
-    of eigenvalues, so this is not the spectral test that
-    :func:`simplex_volume` and :func:`distgeo.embedding.classify_edm` take:
-    one long side drives |CM| toward 0, and the tetrahedron on a unit
-    triangle with height 1e4, an EDM of rank 3 and volume 1443.38, counts
-    as flat here.
+    This is the spectral reading that :func:`simplex_volume` and
+    :func:`distgeo.embedding.classify_edm` take, and the rule the Menger
+    report applies to each subset at the whole space's cut, so it does not
+    depend on measurement units.  A long side does not make a simplex flat:
+    the tetrahedron on a unit triangle with height 1e4, an EDM of rank 3 and
+    volume 1443.38, is not, and neither are sides with one clearly negative
+    eigenvalue, such as a regular simplex holding a 1-1-3 triangle.
     """
-    return bool(_flat_stack(_unit_squares(s.d.d)[0], tol or DEFAULT_TOLERANCES))
+    w = s.d._spectrum[1].eigenvalues
+    return bool(np.count_nonzero(np.abs(w) <= _threshold(w, tol or DEFAULT_TOLERANCES)) >= 2)

@@ -15,6 +15,8 @@ from test_subset_engine import assert_inclusion_minimal, large_space, make_space
 
 from distgeo import cli
 from distgeo.cli import fmt12
+from distgeo.matrices import Realization, edm_from_realization
+from distgeo.semimetric import validate_semi_metric, verify_menger_criterion
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -456,6 +458,39 @@ class TestMenger:
         r = run_cli("menger", f, "--dim", "2")
         assert (r.returncode, r.stderr) == (0, "")
         assert r.stdout.splitlines()[0] == "EMBEDDABLE r=2"
+
+    def test_stretched_pair_on_a_line_fails_flatness(self, tmp_path):
+        # 12 points at 0..11 on a line with d(10, 11) stretched to 1.0001:
+        # the witness is one of the 4-point subsets that are not flat.
+        x = np.arange(12.0)
+        d = np.abs(x[:, None] - x[None, :])
+        d[10, 11] = d[11, 10] = 1.0001
+        f = tmp_path / "line.txt"
+        f.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in d))
+        r = run_cli("menger", f, "--dim", "2")
+        assert (r.returncode, r.stderr) == (1, "")
+        assert r.stdout.splitlines()[:3] == [
+            "NOT-EMBEDDABLE subset=[0,1,10,11]",
+            "base(size=3): checked=220 failed=0",
+            "flat(size=4): checked=495 failed=45",
+        ]
+        report = verify_menger_criterion(validate_semi_metric(d), 2)
+        assert (0, 1, 10, 11) in report.flat2_failures
+
+    def test_needle_is_not_flat(self, tmp_path):
+        # Two small eigenvalues, each well above the cut, make a small determinant.
+        t = 1e-3
+        pts = Realization(np.array([[0, 0, 0], [1, 0, 0], [0, t, 0], [1, 0, t]], dtype=float))
+        f = tmp_path / "needle.txt"
+        d = edm_from_realization(pts).d
+        f.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in d))
+        r = run_cli("menger", f, "--dim", "2")
+        assert (r.returncode, r.stderr) == (1, "")
+        assert r.stdout.splitlines()[:3] == [
+            "NOT-EMBEDDABLE subset=[0,1,2,3]",
+            "base(size=3): checked=4 failed=0",
+            "flat(size=4): checked=1 failed=1",
+        ]
 
     def test_semi_metric_violation(self, tmp_path):
         f = tmp_path / "zero_off.txt"

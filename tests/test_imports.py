@@ -124,27 +124,32 @@ def test_determinants_are_taken_only_in_matrices():
     assert sources_where(det) == []
 
 
-def test_flatness_kernel_serves_only_is_flat_and_the_menger_report():
-    # Realizability and zero volume are read off the spectrum; the
-    # determinant rule stays with the two flatness reports that are
-    # compared subset by subset, so no other decision slides back onto it.
+def top_level_users(name):
+    """``(file, statement)`` pairs, sorted: each top-level statement of the
+    package's sources that refers to ``name``, named by its function or class."""
     def uses(node):
         if isinstance(node, ast.Attribute):
-            return node.attr == "_flat_stack"
-        return isinstance(node, ast.Name) and node.id == "_flat_stack"
+            return node.attr == name
+        return isinstance(node, ast.Name) and node.id == name
 
-    callers = []
+    return sorted(
+        (path.name, getattr(top, "name", "<module>"))
+        for path in Path(distgeo.__file__).parent.glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        if any(map(uses, ast.walk(top)))
+    )
 
-    def found(node):
-        # The module node comes first in the walk: name each top-level
-        # statement that uses the kernel.
-        if isinstance(node, ast.Module):
-            tops = [top for top in node.body if any(map(uses, ast.walk(top)))]
-            callers.extend(getattr(top, "name", "<module>") for top in tops)
-        return uses(node)
 
-    assert sources_where(found) == ["semimetric.py", "simplex.py"]
-    assert sorted(callers) == ["is_flat", "verify_menger_criterion"]
+def test_no_decision_reads_a_determinant():
+    # Realizability, zero volume and flatness are read off eigenvalues at the
+    # rank cut.  The flatness kernel's determinant is only a certificate
+    # inside it, and the Cayley-Menger log serves values alone: the
+    # determinant and the volume (or squared volume) that a verdict carries.
+    assert top_level_users("_flat_stack") == [("semimetric.py", "verify_menger_criterion")]
+    assert top_level_users("_cayley_menger_log") == [
+        ("simplex.py", "cayley_menger_determinant"),
+        ("simplex.py", "simplex_volume"),
+    ]
 
 
 def test_exports_are_the_submodules_own_names():

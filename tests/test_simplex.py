@@ -54,6 +54,14 @@ def simplex_from_points(pts):
     return SimplexSides(edm_from_realization(Realization(pts)))
 
 
+def elongated_simplex():
+    """The 5-simplex with legs e1 ... e4 and the apex 1000 e5: volume 1000 / 5!."""
+    pts = np.zeros((6, 5))
+    pts[1:5, :4] = np.eye(4)
+    pts[5, 4] = 1000.0
+    return simplex_from_points(pts)
+
+
 def regular_with_long_side(m):
     """ones(m, m) - eye(m) with d(0, 1) = 3: it holds a 1-1-3 triangle."""
     d = np.ones((m, m)) - np.eye(m)
@@ -287,11 +295,7 @@ class TestSimplexVolume:
         assert simplex_volume(s) == pytest.approx(math.sqrt(3) / 12 * 1e4, rel=1e-12, abs=0)
 
     def test_elongated_simplex_keeps_its_volume(self):
-        # legs e1 ... e4 and the apex 1000 e5: det 1000 over 5!
-        pts = np.zeros((6, 5))
-        pts[1:5, :4] = np.eye(4)
-        pts[5, 4] = 1000.0
-        assert simplex_volume(simplex_from_points(pts)) == pytest.approx(25 / 3, rel=1e-12, abs=0)
+        assert simplex_volume(elongated_simplex()) == pytest.approx(25 / 3, rel=1e-12, abs=0)
 
     # one long side drives |CM| in units of the largest squared side toward
     # 0 as m grows, but the 1-1-3 triangle keeps a negative eigenvalue
@@ -371,6 +375,19 @@ class TestIsFlat:
 
     def test_collinear_points(self):
         assert is_flat(SimplexSides.from_triangle(TriangleSides(1, 1, 2)))
+
+    # one long side drives |CM| in units of the largest squared side toward
+    # 0, but no eigenvalue beyond the centering null falls within the cut
+    def test_tall_tetrahedron_is_not(self):
+        assert not is_flat(simplex_from_points(np.array(TALL_TETRAHEDRON)))
+
+    def test_elongated_simplex_is_not(self):
+        assert not is_flat(elongated_simplex())
+
+    # not an EDM: the 1-1-3 triangle keeps a clearly negative eigenvalue
+    @pytest.mark.parametrize("m", [14, 20])
+    def test_long_side_in_a_regular_simplex_is_not(self, m):
+        assert not is_flat(regular_with_long_side(m))
 
     def test_unit_invariance(self):
         rng = np.random.default_rng(17)

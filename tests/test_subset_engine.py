@@ -4,12 +4,13 @@
 array, and the witness search in ``congruently_embeddable`` must find the
 witness of a scan of every subset by size and then lexicographically.  The
 reference here restricts the space to each subset and asks
-``classify_edm`` and ``is_flat`` one subset at a time; both must give the
-same report, field for field, on random spaces of every kind and unit of
-measure.  Relabelling the points must not change any verdict or count.
-Past its budget the witness search falls back to Menger's anchored
-theorem, whose witness must be inclusion-minimal, and on large spaces it
-must test a bounded number of subsets.
+``classify_edm``, or for flatness numpy's ``eigvalsh`` against the whole
+space's rank cut, one subset at a time; both must give the same report,
+field for field, on random spaces of every kind and unit of measure.
+Relabelling the points must not change any verdict or count.  Past its
+budget the witness search falls back to Menger's anchored theorem, whose
+witness must be inclusion-minimal, and on large spaces it must test a
+bounded number of subsets.
 """
 
 import math
@@ -23,14 +24,13 @@ from hypothesis import strategies as st
 
 from distgeo import semimetric
 from distgeo.embedding import classify_edm
-from distgeo.matrices import DistanceMatrix, Realization, edm_from_realization
+from distgeo.matrices import DEFAULT_TOLERANCES, DistanceMatrix, Realization, edm_from_realization
 from distgeo.semimetric import (
     FiniteSemiMetricSpace,
     MengerReport,
     congruently_embeddable,
     verify_menger_criterion,
 )
-from distgeo.simplex import SimplexSides, is_flat
 
 
 def _edm(pts):
@@ -78,13 +78,15 @@ spaces = st.builds(
     st.integers(0, 2**32 - 1),
 )
 
-# The Menger report is capped at 12 points, so the larger kind serves the
-# witness tests only.
 witness_spaces = st.builds(
     make_space,
     st.sampled_from(["edm", "lifted", "thin_lift", "semi", "noisy"]),
     st.integers(0, 2**32 - 1),
 )
+
+# The Menger report is capped at 12 points.  "thin_lift" is where a subset's
+# flatness at the whole space's rank cut and at its own cut part ways.
+menger_spaces = witness_spaces.filter(lambda case: case[0].n <= 12)
 
 
 def large_space(kind, n=500, seed=0):
@@ -127,9 +129,22 @@ def embeds(s, subset, dim):
     return c.is_edm and c.dim <= dim
 
 
+def centered_gram(d):
+    j = np.eye(len(d)) - 1.0 / len(d)
+    return -0.5 * j @ (d * d) @ j
+
+
 def reference_report(s, dim):
-    """MengerReport built one restricted subset at a time."""
+    """MengerReport built one restricted subset at a time.  A subset is flat
+    when its centered Gram has, besides the centering null, an eigenvalue
+    within the rank cut of the whole space's centered Gram."""
     n = s.n
+    whole = np.linalg.eigvalsh(centered_gram(s.d.d))
+    cut = DEFAULT_TOLERANCES.rank_tol * max(whole[-1], -whole[0])
+
+    def is_flat(subset):
+        w = np.linalg.eigvalsh(centered_gram(s.d.d[np.ix_(subset, subset)]))
+        return np.count_nonzero(np.abs(w) <= cut) >= 2
 
     def rank(subset):
         c = classify_edm(s.d.restrict(subset))
@@ -145,9 +160,7 @@ def reference_report(s, dim):
         subsets = [
             c for c in combinations(range(n), size) if set(must_contain) <= set(c)
         ]
-        failing = tuple(
-            c for c in subsets if not is_flat(SimplexSides(s.d.restrict(c)))
-        )
+        failing = tuple(c for c in subsets if not is_flat(c))
         return len(subsets), failing
 
     flat2 = flat_failures(dim + 2)
@@ -180,7 +193,7 @@ def reference_witness(s, dim):
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(spaces)
+@given(menger_spaces)
 def test_menger_report_matches_subset_by_subset_reference(case):
     s, dim = case
     assert verify_menger_criterion(s, dim) == reference_report(s, dim)
@@ -193,6 +206,16 @@ def test_witness_is_first_failing_subset_of_lex_scan(case):
     verdict = congruently_embeddable(s, dim)
     if not verdict.embeddable:
         assert verdict.failing_subset == reference_witness(s, dim)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 35, 42, 45])
+def test_routes_agree_on_thin_lifts(seed):
+    # In each space some subset is flat by one rule and not by the other:
+    # |CM| at most rank_tol in units of the subset's largest side, and an
+    # eigenvalue within the whole space's rank cut.  The Menger route takes
+    # the second, the PSD route's threshold, and so agrees with it.
+    s, dim = make_space("thin_lift", seed)
+    assert verify_menger_criterion(s, dim).embeddable == congruently_embeddable(s, dim).embeddable
 
 
 def test_space_that_fails_only_as_a_whole_has_no_witness():
