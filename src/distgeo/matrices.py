@@ -260,18 +260,23 @@ def validate_distance_matrix(m, tol: Tolerances | None = None) -> DistanceMatrix
     ``tol.dist_tol`` (relative to the largest entry): entries inside the
     tolerance band are canonicalized (symmetrized, clamped to zero), and
     the :class:`DistanceMatrix` constructor raises the matching validation
-    error, naming the offending index, for any entry outside it.
+    error, naming the offending index, for any entry outside it.  The
+    repairs run only when some entry needs one (a -0.0 on the diagonal
+    comes out +0.0), so clean input costs a few O(n^2) comparisons.
     """
     tol = tol or DEFAULT_TOLERANCES
     arr = np.array(m, dtype=float)
     if arr.ndim == 2 and 0 < arr.shape[0] == arr.shape[1]:
         _require_finite(arr, "matrix")
-        # Halves first: no sum or difference of two entries leaves the float range.
-        half = 0.5 * arr
-        atol = tol.dist_tol * np.abs(arr).max()
-        skew = (arr != arr.T) & (np.abs(half - half.T) <= 0.5 * atol)
-        arr[skew] = half[skew] + half.T[skew]
-        arr[((arr < 0.0) | np.eye(arr.shape[0], dtype=bool)) & (np.abs(arr) <= atol)] = 0.0
+        diag = np.diagonal(arr)
+        # Clean input (symmetric, nonnegative, a diagonal of +0.0) needs no repair.
+        if not np.array_equal(arr, arr.T) or arr.min() < 0.0 or diag.any() or np.signbit(diag).any():
+            # Halves first: no sum or difference of two entries leaves the float range.
+            half = 0.5 * arr
+            atol = tol.dist_tol * np.abs(arr).max()
+            skew = (arr != arr.T) & (np.abs(half - half.T) <= 0.5 * atol)
+            arr[skew] = half[skew] + half.T[skew]
+            arr[((arr < 0.0) | np.eye(arr.shape[0], dtype=bool)) & (np.abs(arr) <= atol)] = 0.0
     return DistanceMatrix(arr)
 
 
@@ -328,11 +333,16 @@ def _from_log(sign: float, log: float, unit: float, power: int, quantity: str) -
 def _center(d2: np.ndarray) -> np.ndarray:
     """-1/2 J d2 J, symmetrized, with J = I - (1/n) 11^T, for a matrix ``d2``
     of squared distances: the n-by-n centered Gram, whose full spectrum and
-    eigenvectors :attr:`DistanceMatrix._spectrum` holds."""
-    n = d2.shape[0]
-    j = np.eye(n) - np.full((n, n), 1.0 / n)
-    g = -0.5 * (j @ d2 @ j)
-    return 0.5 * (g + g.T)
+    eigenvectors :attr:`DistanceMatrix._spectrum` holds.
+
+    O(n^2): the column means are subtracted, then the row means of the
+    result, in place of the two products with J.  Two steps rather than one
+    (d2 - r_i - r_j + m) keep the null residue at the products' level.
+    """
+    s = 1.0 / d2.shape[0]
+    a = d2 - s * d2.sum(axis=0)
+    a -= s * a.sum(axis=1)[:, None]
+    return -0.25 * (a + a.T)
 
 
 def double_center(D: DistanceMatrix) -> GramMatrix:
@@ -373,7 +383,7 @@ def symmetric_eigendecomposition(g: GramMatrix | np.ndarray) -> SpectralDecompos
     Eigenvalues come back sorted in descending order with matching
     eigenvector columns.
     """
-    a = np.array(g.g if isinstance(g, GramMatrix) else g, dtype=float)
+    a = np.asarray(g.g if isinstance(g, GramMatrix) else g, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(a.shape)
     w, v = np.linalg.eigh(a)
@@ -511,14 +521,33 @@ def gram_from_realization(x: Realization) -> GramMatrix:
 
 
 def _pairwise_distances(x: np.ndarray) -> np.ndarray:
-    """Distances between the rows of x, computed in units of their extent."""
-    # The differences are antisymmetric, so the largest is the largest in size.
-    d2, unit = _unit_squares(x[:, None, :] - x[None, :, :])
-    return np.sqrt(d2.sum(axis=-1)) * unit
+    """Distances between the rows of x, computed in units of their extent
+    (the largest power of two not above the widest coordinate's spread).
+
+    The squared differences are summed one coordinate column at a time into
+    one n-by-n array: O(n^2 k) work and no n-by-n-by-k temporary.  Each
+    difference is taken before it is scaled, so coincident points stay at
+    distance 0 wherever they sit.  A distance too large for a float raises
+    FloatRangeError.
+    """
+    with np.errstate(over="ignore"):
+        extent = np.ptp(x, axis=0)
+    if np.isinf(extent).any():
+        # A coordinate difference leaves the float range, so its distance does.
+        raise FloatRangeError("distance", math.log10(np.ptp(0.5 * x, axis=0).max()) + math.log10(2.0))
+    unit = _unit_squares(extent)[1]
+    d2 = np.zeros((x.shape[0],) * 2)
+    for col in x.T:
+        d2 += np.square(np.subtract.outer(col, col) / unit)
+    top = math.sqrt(d2.max())
+    if math.isinf(top * unit):
+        raise FloatRangeError("distance", math.log10(top) + math.log10(unit))
+    return np.multiply(np.sqrt(d2, out=d2), unit, out=d2)
 
 
 def edm_from_realization(x: Realization) -> DistanceMatrix:
-    """Euclidean distance matrix of the rows of x, in units of their extent."""
+    """Euclidean distance matrix of the rows of x, in units of their extent;
+    a distance too large for a float raises FloatRangeError."""
     return DistanceMatrix(_pairwise_distances(x.coords))
 
 

@@ -1,6 +1,7 @@
 """EDM classification, classical MDS, trilateration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,10 +100,32 @@ class TestClassicalMds:
     def test_residue_below_the_float_range_is_zero(self, k):
         pts = np.random.default_rng(23).standard_normal((6, 2))
         result = classical_mds(edm_from_realization(Realization(k * pts)))
-        # Residue that still fits is kept, and residue that does not is 0.0.
+        # Residue that still fits is kept, and residue that does not is 0.0:
+        # nothing within the cut is left below the normal range.
         w = result.eigenvalues
         assert result.inherent_dim == 2 and np.all(w[:2] > 0.0)
-        assert np.all(np.abs(w[2:]) <= 1e-9 * w[0]) and 0.0 in w[2:]
+        within = w[2:]
+        assert np.all(np.abs(within) <= 1e-9 * w[0])
+        assert np.all((within == 0.0) | (np.abs(within) >= np.finfo(float).tiny))
+        if k == 1e-150:
+            # Residue of at most 1e-15 of the spectral radius (about 1e-300)
+            # lies below the normal range here, so some of it is flushed.
+            assert 0.0 in within
+
+    def test_peak_memory_stays_within_a_few_n_by_n_arrays(self):
+        # The spectral path holds O(n^2) floats: no n-by-n-by-k temporary.
+        n = 128
+        pts = np.random.default_rng(24).standard_normal((n, 6))
+        classical_mds(edm_from_realization(Realization(pts)))
+        d = edm_from_realization(Realization(pts))
+        tracemalloc.start()
+        try:
+            result = classical_mds(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.inherent_dim == 6
+        assert peak < 6 * n * n * 8
 
     def test_zero_matrix(self):
         result = classical_mds(validate_distance_matrix(np.zeros((3, 3))))

@@ -4,12 +4,14 @@ Eigenvalue checks compare against numpy.linalg.eigvalsh on random matrices
 and against spectra known by hand.
 """
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distgeo.embedding import classify_edm
+from distgeo.embedding import _max_relative_distance_error, classify_edm
 from distgeo.errors import (
     AsymmetricMatrixError,
     FloatRangeError,
@@ -31,8 +33,11 @@ from distgeo.matrices import (
     realization_from_gram,
     schoenberg_gram,
     symmetric_eigendecomposition,
+    _center,
     _classify_stack,
     _helmert,
+    _pairwise_distances,
+    _unit_squares,
     validate_distance_matrix,
 )
 
@@ -135,6 +140,47 @@ class TestValidateDistanceMatrix:
         with pytest.raises(AsymmetricMatrixError) as err:
             validate_distance_matrix([[0, 1e308], [-1e308, 0]])
         assert (err.value.index, err.value.delta) == ((0, 1), np.inf)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(["skew", "negative", "diagonal", "-0 diagonal", "-0 pair", "far"]), max_size=3),
+    )
+    def test_repairs_match_the_unconditional_repair_bit_for_bit(self, n, seed, defects):
+        rng = np.random.default_rng(seed)
+        arr = np.array(edm_from_realization(Realization(rng.standard_normal((n, 2)))).d)
+        for defect in defects:
+            i, j = rng.integers(0, n, 2)
+            small = float(rng.choice([1e-12, 1e-6])) * max(float(arr.max()), 1.0)
+            if defect == "skew":
+                arr[i, j] += small
+            elif defect == "negative":
+                arr[i, j] = arr[j, i] = -small
+            elif defect == "diagonal":
+                arr[i, i] = small
+            elif defect == "-0 diagonal":
+                arr[i, i] = -0.0
+            elif defect == "-0 pair":
+                arr[i, j] = arr[j, i] = -0.0
+            else:
+                arr[i, j] += 1.0
+
+        def outcome(validate):
+            try:
+                return ("ok", np.asarray(validate(arr.copy())).view(np.int64).tolist())
+            except ValueError as err:
+                return (type(err), str(err))
+
+        def unconditional(a, tol=Tolerances()):
+            half = 0.5 * a
+            atol = tol.dist_tol * np.abs(a).max()
+            skew = (a != a.T) & (np.abs(half - half.T) <= 0.5 * atol)
+            a[skew] = half[skew] + half.T[skew]
+            a[((a < 0.0) | np.eye(a.shape[0], dtype=bool)) & (np.abs(a) <= atol)] = 0.0
+            return DistanceMatrix(a).d
+
+        assert outcome(lambda a: validate_distance_matrix(a).d) == outcome(unconditional)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-9])
     def test_asymmetry_is_judged_at_the_matrix_scale(self, scale):
@@ -419,6 +465,86 @@ class TestRealizationConversions:
         np.testing.assert_allclose(
             edm_from_realization(c).d, edm_from_realization(x).d, atol=1e-10
         )
+
+
+    def test_edm_past_the_float_range_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatRangeError, match="distance of about 10\\^308.3"):
+                edm_from_realization(Realization([[1e308], [-1e308]]))
+            # Each coordinate's spread fits, but the diagonal does not.
+            with pytest.raises(FloatRangeError, match="distance"):
+                edm_from_realization(Realization([[1.5e308, 1.5e308], [0.0, 0.0]]))
+
+
+@st.composite
+def point_sets(draw):
+    """n points in R^k, k <= 7: a Gaussian cloud or a small integer grid,
+    scaled by 10^u with |u| <= 100 and shifted by 0, 1e300 or +-1e308.  At
+    the large shifts every point rounds onto the shift itself."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.integers(-3, 4, (n, k)) if draw(st.booleans()) else rng.standard_normal((n, k))
+    shift = draw(st.sampled_from([0.0, 0.0, 1e300, 1e308, -1e308]))
+    return shift + 10.0 ** draw(st.integers(-100, 100)) * pts
+
+
+@st.composite
+def squared_distances(draw):
+    """Squared distances of an EDM, or of one with noise on every pair, in
+    units of the largest distance."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.standard_normal((n, draw(st.integers(1, 7))))
+    pts[:, -1] *= draw(st.sampled_from([1.0, 1e-3]))
+    d = np.array(edm_from_realization(Realization(pts)).d)
+    if draw(st.booleans()):
+        d = np.triu(d * rng.uniform(0.8, 1.2, (n, n)), 1)
+        d = d + d.T
+    return _unit_squares(d)[0]
+
+
+class TestDistanceKernels:
+    """The O(n^2) kernels of the spectral path against their dense forms."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(squared_distances())
+    def test_center_is_symmetric_and_matches_the_products_with_j(self, d2):
+        n = d2.shape[0]
+        j = np.eye(n) - np.full((n, n), 1.0 / n)
+        want = -0.5 * (j @ d2 @ j)
+        g = _center(d2)
+        assert np.array_equal(g, g.T)
+        rho = float(np.abs(np.linalg.eigvalsh(0.5 * (want + want.T))).max())
+        assert np.abs(g - want).max() <= 4e-15 * rho
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(point_sets())
+    @example(np.array([[1e308, 0.0], [1e308, 0.0]]))
+    @example(np.array([[-1e308], [-1e308], [-1e308]]))
+    @example(1e300 + np.arange(5.0)[:, None])
+    def test_pairwise_distances_equal_the_broadcast_form_bit_for_bit(self, x):
+        # Below eight columns numpy sums the last axis in order, as the kernel does.
+        want = np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
+        assert np.array_equal(_pairwise_distances(x), want)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.booleans())
+    def test_max_relative_distance_error_equals_the_upper_triangle_form(self, n, seed, dup):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n, 3))
+        if dup and n > 2:
+            pts[1] = pts[0]
+        target = np.array(edm_from_realization(Realization(pts)).d)
+        realized = _pairwise_distances(pts + rng.normal(0.0, 1e-9, pts.shape))
+        iu = np.triu_indices(n, 1)
+        want, got = target[iu], realized[iu]
+        scale = float(target.max())
+        expected = 0.0 if n < 2 or scale == 0.0 else float(
+            np.max(np.abs(got - want) / np.where(want > 0, want, scale))
+        )
+        assert _max_relative_distance_error(realized, target) == expected
 
 
 class TestRoundTrip:
