@@ -47,7 +47,7 @@ class EdmClassification:
     negative.  It is computed in units of the largest distance and scaled
     back, so past the float range it saturates to -inf or 0.0 while the
     verdict stays exact.  Within the rank cut it is the rounding residue,
-    of either sign (5.9e-16 for the 3-4-5 triangle), and 0.0 only when that
+    of either sign (1.63e-17 for the 3-4-5 triangle), and 0.0 only when that
     residue leaves the float range (the same triangle scaled by 1e-160).
     """
 

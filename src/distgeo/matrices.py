@@ -113,7 +113,10 @@ DEFAULT_TOLERANCES = Tolerances()
 class DistanceMatrix(_ValueRecord):
     """Symmetric hollow nonnegative n-by-n matrix of pairwise distances.
 
-    The constructor enforces the invariants exactly; use
+    The constructor is the toolkit's one test of these invariants, and it
+    enforces them exactly: a square finite array that is symmetric, has a
+    zero diagonal and no negative entry.  It keeps one read-only copy of
+    the input, in which every zero is +0.0.  Use
     :func:`validate_distance_matrix` to admit raw data with floating-point
     slack.  The spectrum of the centered Gram matrix is computed on first
     use and kept for the matrix's lifetime (:attr:`_spectrum`).
@@ -122,10 +125,11 @@ class DistanceMatrix(_ValueRecord):
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
+        # The one copy; adding +0.0 also turns each -0.0 into +0.0.
+        d = np.asarray(self.d, dtype=float) + 0.0
         if d.ndim != 2 or not 0 < d.shape[0] == d.shape[1]:
             raise NonSquareError(d.shape)
-        _require_finite(d, "distance matrix")
+        _require_finite(d, "matrix")
         # Each error names the worst offender; halves keep the skew finite.
         if not np.array_equal(d, d.T):
             half = 0.5 * d
@@ -138,7 +142,8 @@ class DistanceMatrix(_ValueRecord):
         if np.any(d < 0.0):
             i, j = np.unravel_index(int(np.argmin(d)), d.shape)
             raise NegativeEntryError((int(i), int(j)), d[i, j])
-        object.__setattr__(self, "d", _readonly(d))
+        d.setflags(write=False)
+        object.__setattr__(self, "d", d)
 
     @property
     def n(self) -> int:
@@ -163,7 +168,13 @@ class DistanceMatrix(_ValueRecord):
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix(_ValueRecord):
-    """Symmetric matrix of pairwise inner products (squared-distance units)."""
+    """Symmetric matrix of pairwise inner products (squared-distance units).
+
+    An input asymmetric within ``dist_tol`` of its largest entry is stored
+    symmetrized; an exactly symmetric one is stored unchanged.  Skew and
+    symmetrization are taken on halves of the entries, as in
+    :func:`validate_distance_matrix`, so no finite entry turns into inf.
+    """
 
     g: np.ndarray
 
@@ -174,12 +185,14 @@ class GramMatrix(_ValueRecord):
         if g.shape[0] == 0:
             raise ValueError("Gram matrix needs at least one point")
         _require_finite(g, "Gram matrix")
-        skew = np.abs(g - g.T)
-        worst = float(skew.max()) if skew.size else 0.0
-        if worst > 1e-8 * float(np.abs(g).max()):
-            idx = np.argwhere(skew == worst)[0]
-            raise AsymmetricMatrixError((int(idx[0]), int(idx[1])), worst)
-        object.__setattr__(self, "g", _readonly(0.5 * (g + g.T)))
+        if not np.array_equal(g, g.T):
+            half = 0.5 * g
+            skew = np.abs(half - half.T)
+            i, j = np.unravel_index(int(np.argmax(skew)), g.shape)
+            if skew[i, j] > 0.5 * DEFAULT_TOLERANCES.dist_tol * np.abs(g).max():
+                raise AsymmetricMatrixError((int(i), int(j)), abs(float(g[i, j]) - float(g[j, i])))
+            g = half + half.T
+        object.__setattr__(self, "g", _readonly(g))
 
     @property
     def n(self) -> int:
@@ -257,26 +270,26 @@ def validate_distance_matrix(m, tol: Tolerances | None = None) -> DistanceMatrix
     """Check a raw square array and return it as a typed distance matrix.
 
     Symmetry, a zero diagonal and nonnegativity are enforced within
-    ``tol.dist_tol`` (relative to the largest entry): entries inside the
-    tolerance band are canonicalized (symmetrized, clamped to zero), and
-    the :class:`DistanceMatrix` constructor raises the matching validation
-    error, naming the offending index, for any entry outside it.  The
-    repairs run only when some entry needs one (a -0.0 on the diagonal
-    comes out +0.0), so clean input costs a few O(n^2) comparisons.
+    ``tol.dist_tol`` (relative to the largest entry).  The
+    :class:`DistanceMatrix` constructor decides: input it accepts comes
+    back as it stores it, checked once and copied once.  Input it rejects
+    as asymmetric, with a nonzero diagonal or with a negative entry is
+    repaired in a copy (entries inside the tolerance band symmetrized on
+    halves, so no sum leaves the float range, and clamped to zero) and
+    constructed again, which raises the matching validation error, naming
+    the offending index, for any entry outside the band.  A non-square or
+    non-finite input raises at once.
     """
-    tol = tol or DEFAULT_TOLERANCES
+    try:
+        return DistanceMatrix(m)
+    except (AsymmetricMatrixError, NonzeroDiagonalError, NegativeEntryError):
+        pass
     arr = np.array(m, dtype=float)
-    if arr.ndim == 2 and 0 < arr.shape[0] == arr.shape[1]:
-        _require_finite(arr, "matrix")
-        diag = np.diagonal(arr)
-        # Clean input (symmetric, nonnegative, a diagonal of +0.0) needs no repair.
-        if not np.array_equal(arr, arr.T) or arr.min() < 0.0 or diag.any() or np.signbit(diag).any():
-            # Halves first: no sum or difference of two entries leaves the float range.
-            half = 0.5 * arr
-            atol = tol.dist_tol * np.abs(arr).max()
-            skew = (arr != arr.T) & (np.abs(half - half.T) <= 0.5 * atol)
-            arr[skew] = half[skew] + half.T[skew]
-            arr[((arr < 0.0) | np.eye(arr.shape[0], dtype=bool)) & (np.abs(arr) <= atol)] = 0.0
+    half = 0.5 * arr
+    atol = (tol or DEFAULT_TOLERANCES).dist_tol * np.abs(arr).max()
+    skew = (arr != arr.T) & (np.abs(half - half.T) <= 0.5 * atol)
+    arr[skew] = half[skew] + half.T[skew]
+    arr[((arr < 0.0) | np.eye(arr.shape[0], dtype=bool)) & (np.abs(arr) <= atol)] = 0.0
     return DistanceMatrix(arr)
 
 
@@ -293,21 +306,20 @@ def _unit_squares(d: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _in_units(value, unit: float, power: int, quantity: str, residue=False):
-    """value * unit**power, elementwise and one factor at a time (a division
-    by unit for each negative power), so that a partial result leaves the
-    float range only when the result does.
+    """value * unit**power, elementwise, for a power of two ``unit``: one
+    exact shift of the binary exponent (``np.ldexp``, as :func:`_from_log`
+    applies it), rounded once where the result leaves the normal range.
+    A scalar comes back as a Python float.
 
     A result is lost when it overflows or a nonzero value lands below the
     normal range, where it flushes to zero or keeps only a few significant
     bits.  A lost result where ``residue`` is true (rounding residue, such
     as an eigenvalue within the rank cut) comes back as 0.0; any other
     raises FloatRangeError, naming the quantity and the largest magnitude
-    lost.
+    lost.  This loss check, not the shift, is the function's cost.
     """
-    out = value
     with np.errstate(over="ignore"):
-        for _ in range(abs(power)):
-            out = out * unit if power > 0 else out / unit
+        out = np.ldexp(value, power * int(math.log2(unit)))
     lost = np.isinf(out) | ((np.abs(out) < np.finfo(float).tiny) & (value != 0.0))
     zeroed = lost & residue
     if np.any(zeroed):
@@ -315,7 +327,7 @@ def _in_units(value, unit: float, power: int, quantity: str, residue=False):
     if np.any(lost):
         worst = float(np.abs(np.asarray(value)[lost]).max())
         raise FloatRangeError(quantity, math.log10(worst) + power * math.log10(unit))
-    return out
+    return out if out.ndim else float(out)
 
 
 def _from_log(sign: float, log: float, unit: float, power: int, quantity: str) -> float:
@@ -381,12 +393,17 @@ def symmetric_eigendecomposition(g: GramMatrix | np.ndarray) -> SpectralDecompos
     """Full spectral decomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Eigenvalues come back sorted in descending order with matching
-    eigenvector columns.
+    eigenvector columns.  An eigenvalue too large for a float raises
+    FloatRangeError, naming the spectral radius, which is measured on the
+    matrix scaled by 2^-1023.
     """
     a = np.asarray(g.g if isinstance(g, GramMatrix) else g, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(a.shape)
     w, v = np.linalg.eigh(a)
+    if np.isinf(w).any():
+        top = np.abs(np.linalg.eigvalsh(np.ldexp(a, -1023))).max()
+        raise FloatRangeError("eigenvalue", math.log10(top) + 1023 * math.log10(2.0))
     order = np.argsort(-w, kind="stable")
     return SpectralDecomposition(w[order], v[:, order])
 
@@ -515,9 +532,9 @@ def realization_from_gram(g: GramMatrix, tol: Tolerances | None = None) -> Reali
 
 
 def gram_from_realization(x: Realization) -> GramMatrix:
-    """Pairwise inner products of the rows of x: G = x x^T."""
-    g = x.coords @ x.coords.T
-    return GramMatrix(0.5 * (g + g.T))
+    """Pairwise inner products of the rows of x: G = x x^T, symmetrized
+    by the :class:`GramMatrix` constructor."""
+    return GramMatrix(x.coords @ x.coords.T)
 
 
 def _pairwise_distances(x: np.ndarray) -> np.ndarray:

@@ -253,7 +253,11 @@ def inverse_circumradius(
     value = float(_inverse_circumradii(np.array([x * g.a_max]), g, tol or DEFAULT_TOLERANCES)[0])
     if math.isnan(value):
         return None
-    return _in_units(value, g.a_max, -1, "inverse circumradius")
+    # a_max = 2 mantissa * 2^(exponent - 1), with 2 mantissa in [1, 2) and
+    # the power of two a float: divide by the one, shift by the other.
+    mantissa, exponent = math.frexp(g.a_max)
+    unit = math.ldexp(1.0, exponent - 1)
+    return _in_units(value / (2.0 * mantissa), unit, -1, "inverse circumradius")
 
 
 def _scan_grid(lo: float, hi: float, r_lo: float, r_hi: float) -> np.ndarray:

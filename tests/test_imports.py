@@ -152,6 +152,23 @@ def test_no_decision_reads_a_determinant():
     ]
 
 
+def test_validity_is_checked_only_by_the_records():
+    # Each distance matrix is checked once, by the DistanceMatrix
+    # constructor: validate_distance_matrix constructs, and repairs only
+    # what the constructor rejects.  So only the record classes test
+    # finiteness or compare an array with its transpose.
+    assert top_level_users("_require_finite") == [
+        ("matrices.py", "DistanceMatrix"),
+        ("matrices.py", "GramMatrix"),
+        ("matrices.py", "Realization"),
+    ]
+    assert top_level_users("array_equal") == [
+        ("matrices.py", "DistanceMatrix"),
+        ("matrices.py", "GramMatrix"),
+        ("matrices.py", "_ValueRecord"),
+    ]
+
+
 def test_exports_are_the_submodules_own_names():
     union = []
     for short in SUBMODULES:

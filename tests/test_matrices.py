@@ -4,6 +4,7 @@ Eigenvalue checks compare against numpy.linalg.eigvalsh on random matrices
 and against spectra known by hand.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -36,6 +37,7 @@ from distgeo.matrices import (
     _center,
     _classify_stack,
     _helmert,
+    _in_units,
     _pairwise_distances,
     _unit_squares,
     validate_distance_matrix,
@@ -190,6 +192,80 @@ class TestValidateDistanceMatrix:
             GramMatrix(np.array([[1.0, 1.0], [3.0, 1.0]]) * scale)
 
 
+class TestDistanceMatrixConstructor:
+    def test_stores_no_negative_zero(self):
+        raw = np.array([[-0.0, -0.0, 1.0], [-0.0, -0.0, 2.0], [1.0, 2.0, -0.0]])
+        d = DistanceMatrix(raw).d
+        assert not np.signbit(d).any()
+        assert np.signbit(raw).sum() == 5
+        assert not d.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_message(self, bad):
+        with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+            DistanceMatrix(np.array([[0.0, bad], [bad, 0.0]]))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-150, 1e150]))
+    def test_validation_of_clean_input_is_the_input_bit_for_bit(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        raw = scale * _pairwise_distances(rng.standard_normal((n, 3)))
+        d = validate_distance_matrix(raw).d
+        assert d.view(np.int64).tolist() == raw.view(np.int64).tolist()
+        assert not np.shares_memory(d, raw) and not d.flags.writeable
+
+
+def _in_units_by_loop(value, unit, power, quantity, residue=False):
+    """The earlier ``_in_units``: one product (a quotient for a negative
+    power) by ``unit`` per power, kept as the reference for the shift."""
+    out = value
+    with np.errstate(over="ignore"):
+        for _ in range(abs(power)):
+            out = out * unit if power > 0 else out / unit
+    lost = np.isinf(out) | ((np.abs(out) < np.finfo(float).tiny) & (value != 0.0))
+    zeroed = lost & residue
+    if np.any(zeroed):
+        out, lost = np.where(zeroed, 0.0, out), lost ^ zeroed
+    if np.any(lost):
+        worst = float(np.abs(np.asarray(value)[lost]).max())
+        raise FloatRangeError(quantity, math.log10(worst) + power * math.log10(unit))
+    return out
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308]
+UNIT_VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES + [-v for v in EDGE_VALUES]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestInUnits:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(st.integers(-1074, 1023), st.sampled_from([-1, 2, 4]), st.data())
+    def test_shift_matches_the_loop_bit_for_bit(self, exponent, power, data):
+        unit = math.ldexp(1.0, exponent)
+        if data.draw(st.booleans(), label="scalar"):
+            value = data.draw(UNIT_VALUES, label="value")
+            residue = data.draw(st.booleans(), label="residue")
+        else:
+            value = np.array(data.draw(st.lists(UNIT_VALUES, min_size=1, max_size=6), label="values"))
+            residue = np.array(data.draw(st.lists(st.booleans(), min_size=value.size, max_size=value.size)))
+
+        def outcome(scale):
+            try:
+                out = scale(value, unit, power, "value", residue)
+            except FloatRangeError as err:
+                return (str(err), err.log10_magnitude)
+            return np.asarray(out, dtype=float).view(np.int64).tolist()
+
+        assert outcome(_in_units) == outcome(_in_units_by_loop)
+
+    @pytest.mark.parametrize("value", [3.0, np.float64(3.0), np.array(3.0)])
+    def test_scalar_comes_back_as_a_python_float(self, value):
+        assert type(_in_units(value, 0.5, 2, "value")) is float
+        assert type(_in_units(value, 2.0**-600, 2, "value", residue=True)) is float
+
+
 class TestDoubleCenter:
     def test_two_points_by_hand(self):
         # expanding -1/2 J D^2 J for n=2 gives [[d^2/4, -d^2/4], ...]
@@ -218,6 +294,15 @@ class TestDoubleCenter:
         d = DistanceMatrix(k * np.array([[0, 3, 4], [3, 0, 5], [4, 5, 0.0]]))
         with pytest.raises(FloatRangeError, match="Gram entry of about"):
             gram(d)
+
+    def test_entries_near_the_top_of_the_float_range_stay_finite(self):
+        # The true entries are +-1.5625e308; a sum of two of them overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = double_center(validate_distance_matrix([[0, 2.5e154], [2.5e154, 0]]))
+        np.testing.assert_array_equal(g.g, 1.5625e308 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        with pytest.raises(FloatRangeError, match=r"eigenvalue of about 10\^308.5 "):
+            psd_verdict(g)
 
     def test_row_sums_vanish(self):
         rng = np.random.default_rng(0)
@@ -269,6 +354,23 @@ class TestSchoenbergGram:
             assert va.is_psd == vc.is_psd
             if va.is_psd:
                 assert va.rank == vc.rank
+
+
+class TestGramMatrix:
+    def test_names_the_worst_pair(self):
+        with pytest.raises(AsymmetricMatrixError) as err:
+            GramMatrix([[1, 1], [3, 1]])
+        assert (err.value.index, err.value.delta) == ((0, 1), 2.0)
+
+    def test_symmetric_input_is_stored_unchanged(self):
+        raw = np.array([[1.7e308, -1.7e308, 5e-324], [-1.7e308, -0.0, 1.0], [5e-324, 1.0, 3.0]])
+        g = GramMatrix(raw).g
+        assert g.view(np.int64).tolist() == raw.view(np.int64).tolist()
+
+    def test_slight_skew_is_symmetrized_on_halves(self):
+        raw = np.array([[1.7e308, 1.7e308 * (1 + 1e-12)], [1.7e308, 1.0]])
+        g = GramMatrix(raw).g
+        assert g[0, 1] == g[1, 0] == 0.5 * raw[0, 1] + 0.5 * raw[1, 0]
 
 
 class TestEigendecomposition:
@@ -430,6 +532,13 @@ class TestRealizationConversions:
             [[9.0, 0.0], [0.0, 16.0]],
         )
         np.testing.assert_allclose(gram_from_realization(Realization([[5.0]])).g, [[25.0]])
+
+    def test_gram_near_the_top_of_the_float_range_stays_finite(self):
+        # x x^T is 1.44e308 throughout; twice that overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = gram_from_realization(Realization([[1.2e154, 0.0], [1.2e154, 1.0]])).g
+        assert np.isfinite(g).all() and g[0, 1] == g[1, 0] == 1.2e154**2
 
     def test_edm_examples(self):
         np.testing.assert_allclose(
