@@ -22,7 +22,6 @@ from .matrices import (
     _in_units,
     _pairwise_distances,
     _readonly,
-    _threshold,
     _unit_squares,
     _ValueRecord,
 )
@@ -102,11 +101,12 @@ def classify_edm(D: DistanceMatrix, tol: Tolerances | None = None) -> EdmClassif
     """
     tol = tol or DEFAULT_TOLERANCES
     unit, dec = D._spectrum
-    w, verdict, _ = _factor_gram(dec, tol)
-    if abs(w[-1]) <= _threshold(w, tol):
-        witness = float(_in_units(w[-1], unit, 2, "eigenvalue", residue=True))
+    cut, verdict, _ = _factor_gram(dec, tol)
+    lowest = verdict.min_eigenvalue
+    if abs(lowest) <= cut:
+        witness = _in_units(lowest, unit, 2, "eigenvalue", residue=True)
     else:
-        witness = float(w[-1]) * unit * unit
+        witness = lowest * unit * unit
     return EdmClassification(verdict.is_psd, verdict.rank, witness)
 
 
@@ -142,10 +142,10 @@ def classical_mds(
     if dim_cap is not None and dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
     unit, dec = D._spectrum
-    w, _, coords = _factor_gram(dec, tol)
+    cut, _, coords = _factor_gram(dec, tol)
     coords = coords[:, :dim_cap]
     residual = _max_relative_distance_error(_pairwise_distances(coords), D.d / unit)
-    w = _in_units(w, unit, 2, "eigenvalue", residue=np.abs(w) <= _threshold(w, tol))
+    w = _in_units(dec.eigenvalues, unit, 2, "eigenvalue", residue=np.abs(dec.eigenvalues) <= cut)
     return MdsResult(Realization(coords * unit), w, coords.shape[1], residual)
 
 

@@ -4,9 +4,20 @@ Distance and Gram matrix types, double centering, the symmetric
 eigendecomposition (LAPACK ``eigh``), positive-semidefiniteness tests, and
 the conversions between Gram matrices and point realizations that underpin
 classical multidimensional scaling.  Every rank cut in the toolkit is taken
-here, relative to the spectral radius of the Gram matrix, and so is every
-determinant of a distance matrix.  Flatness is a rank question too: a
-subset is flat when its projected Gram has an eigenvalue within the cut.
+here, by :func:`_rank_cut`, relative to the spectral radius of the Gram
+matrix; it returns the cut with the rank, and :func:`_factor_gram` hands
+that cut to its callers.  Every determinant of a distance matrix is taken
+here too.  Flatness is a rank question: a subset is flat when its
+projected Gram has an eigenvalue within the cut.
+
+The float-range rules live here, once each.  :func:`_unit` is the one unit
+of length, the largest power of two not above the largest entry, so
+scaling by it is exact; lengths are squared (:func:`_unit_squares`),
+centered and multiplied in that unit.  :func:`_in_units` is the one loss
+check: it scales a result back by one shift of the binary exponent and
+raises FloatRangeError when it overflows or a nonzero value lands below
+the smallest normal float, which is read once, at import.
+:func:`_from_log` is built on it, for a value held as a sign and a log.
 
 All values are immutable after construction (backing arrays are read-only)
 and every operation is a pure function of its inputs.
@@ -214,7 +225,7 @@ class SpectralDecomposition(_ValueRecord):
         v = np.asarray(self.eigenvectors, dtype=float)
         if w.ndim != 1 or v.ndim != 2 or v.shape != (w.size, w.size):
             raise ValueError("eigenvalue/eigenvector shapes are inconsistent")
-        if np.any(np.diff(w) > 0):
+        if np.any(w[1:] > w[:-1]):
             raise ValueError("eigenvalues must be sorted in descending order")
         object.__setattr__(self, "eigenvalues", _readonly(w))
         object.__setattr__(self, "eigenvectors", _readonly(v))
@@ -293,23 +304,35 @@ def validate_distance_matrix(m, tol: Tolerances | None = None) -> DistanceMatrix
     return DistanceMatrix(arr)
 
 
+# The smallest normal float: a nonzero result below it has lost bits.
+_TINY = np.finfo(float).tiny
+
+
+def _unit(a) -> float:
+    """The largest power of two not above the largest entry of ``a`` (0.5 when
+    none is positive): the toolkit's one unit of length.  Dividing by it is
+    exact, so at ordinary scales results in units are bit for bit the raw
+    ones scaled, and no length is far from 1."""
+    return math.ldexp(1.0, math.frexp(float(np.max(a, initial=0.0)))[1] - 1)
+
+
 def _unit_squares(d: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(d2, unit)``: the entries of ``d`` squared in units of the largest
-    power of two not above the largest entry, and that unit.
+    """``(d2, unit)``: the entries of ``d`` squared in units of :func:`_unit`,
+    and that unit.
 
     The toolkit's one way to square lengths (J. L. Blue's scaled norm, ACM
     TOMS 4, 1978): the scaling is exact, so at ordinary scales results are
     bit for bit the raw squares', and no square leaves the float range.
     """
-    unit = math.ldexp(1.0, math.frexp(float(np.max(d, initial=0.0)))[1] - 1)
+    unit = _unit(d)
     return (d / unit) ** 2, unit
 
 
-def _in_units(value, unit: float, power: int, quantity: str, residue=False):
-    """value * unit**power, elementwise, for a power of two ``unit``: one
-    exact shift of the binary exponent (``np.ldexp``, as :func:`_from_log`
-    applies it), rounded once where the result leaves the normal range.
-    A scalar comes back as a Python float.
+def _in_units(value, unit: float, power: int, quantity: str, residue=False, offset: int = 0):
+    """value * 2**offset * unit**power, elementwise, for a power of two
+    ``unit``: one exact shift of the binary exponent (``np.ldexp``), rounded
+    once where the result leaves the normal range.  A scalar comes back as a
+    Python float.  Only :func:`_from_log` passes ``offset``.
 
     A result is lost when it overflows or a nonzero value lands below the
     normal range, where it flushes to zero or keeps only a few significant
@@ -319,27 +342,23 @@ def _in_units(value, unit: float, power: int, quantity: str, residue=False):
     lost.  This loss check, not the shift, is the function's cost.
     """
     with np.errstate(over="ignore"):
-        out = np.ldexp(value, power * int(math.log2(unit)))
-    lost = np.isinf(out) | ((np.abs(out) < np.finfo(float).tiny) & (value != 0.0))
+        out = np.ldexp(value, offset + power * int(math.log2(unit)))
+    lost = np.isinf(out) | ((np.abs(out) < _TINY) & (value != 0.0))
     zeroed = lost & residue
     if np.any(zeroed):
         out, lost = np.where(zeroed, 0.0, out), lost ^ zeroed
     if np.any(lost):
-        worst = float(np.abs(np.asarray(value)[lost]).max())
-        raise FloatRangeError(quantity, math.log10(worst) + power * math.log10(unit))
+        worst = math.log10(float(np.abs(np.asarray(value)[lost]).max()))
+        raise FloatRangeError(quantity, worst + offset * math.log10(2.0) + power * math.log10(unit))
     return out if out.ndim else float(out)
 
 
 def _from_log(sign: float, log: float, unit: float, power: int, quantity: str) -> float:
-    """sign * exp(log) * unit**power under :func:`_in_units`' loss rule; the binary
-    exponents of exp(log) and of the power of two ``unit`` are applied exactly."""
+    """sign * exp(log) * unit**power through :func:`_in_units`: the binary
+    exponent of exp(log) is split off and passed as its offset, so only a
+    mantissa near 1 is exponentiated."""
     i = round(log / math.log(2.0)) if sign else 0
-    mantissa = sign * math.exp(log - i * math.log(2.0))
-    with np.errstate(over="ignore"):
-        out = float(np.ldexp(mantissa, i + power * int(math.log2(unit))))
-    if math.isinf(out) or (sign and abs(out) < np.finfo(float).tiny):
-        raise FloatRangeError(quantity, log / math.log(10.0) + power * math.log10(unit))
-    return out
+    return _in_units(sign * math.exp(log - i * math.log(2.0)), unit, power, quantity, offset=i)
 
 
 def _center(d2: np.ndarray) -> np.ndarray:
@@ -408,19 +427,16 @@ def symmetric_eigendecomposition(g: GramMatrix | np.ndarray) -> SpectralDecompos
     return SpectralDecomposition(w[order], v[:, order])
 
 
-def _threshold(w: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """``rank_tol`` times the spectral radius of descending spectra along the
-    last axis, max(lambda_0, -lambda_last): the toolkit's one rank cut."""
-    return tol.rank_tol * np.maximum(w[..., 0], -w[..., -1])
+def _rank_cut(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(cut, rank, is_psd)`` of descending spectra along the last axis.
 
-
-def _rank_cut(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Numerical rank and PSD flag of descending spectra along the last axis:
-    eigenvalues within the :func:`_threshold` count as zero, so verdicts do
-    not depend on the unit of measure."""
-    threshold = _threshold(w, tol)
-    rank = (w > threshold[..., None]).sum(axis=-1)
-    return rank, w[..., -1] >= -threshold
+    The cut is ``rank_tol`` times the spectral radius, max(lambda_0,
+    -lambda_last): the toolkit's one rank cut.  Eigenvalues within it count
+    as zero, so verdicts do not depend on the unit of measure.
+    """
+    cut = tol.rank_tol * np.maximum(w[..., 0], -w[..., -1])
+    rank = (w > cut[..., None]).sum(axis=-1)
+    return cut, rank, w[..., -1] >= -cut
 
 
 @functools.lru_cache(maxsize=16)
@@ -461,7 +477,7 @@ def _classify_stack(d2: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.nda
     if d2.shape[-1] == 1:
         return np.zeros(d2.shape[:-2], dtype=int), np.ones(d2.shape[:-2], dtype=bool)
     w = np.linalg.eigvalsh(_project(d2))[..., ::-1]
-    return _rank_cut(w, tol)
+    return _rank_cut(w, tol)[1:]
 
 
 def _cayley_menger_log(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -491,20 +507,20 @@ def _flat_stack(d2: np.ndarray, cut: float) -> np.ndarray:
 
 def _factor_gram(
     dec: SpectralDecomposition, tol: Tolerances
-) -> tuple[np.ndarray, PsdVerdict, np.ndarray]:
-    """Spectrum, PSD verdict and coordinate columns of a Gram matrix's
+) -> tuple[float, PsdVerdict, np.ndarray]:
+    """Rank cut, PSD verdict and coordinate columns of a Gram matrix's
     spectral decomposition.
 
-    The rank comes from :func:`_rank_cut`.  The coordinate columns are the
-    eigenvectors of the eigenvalues above the cut, scaled by their square
-    roots.
+    The cut and the rank come from :func:`_rank_cut`.  The coordinate
+    columns are the eigenvectors of the eigenvalues above the cut, scaled
+    by their square roots.
     """
     w = dec.eigenvalues
-    rank, is_psd = _rank_cut(w, tol)
+    cut, rank, is_psd = _rank_cut(w, tol)
     rank = int(rank)
     verdict = PsdVerdict(is_psd=bool(is_psd), rank=rank, min_eigenvalue=float(w[-1]))
     coords = dec.eigenvectors[:, :rank] * np.sqrt(w[:rank])
-    return w, verdict, coords
+    return cut, verdict, coords
 
 
 def psd_verdict(g: GramMatrix | np.ndarray, tol: Tolerances | None = None) -> PsdVerdict:
@@ -533,8 +549,12 @@ def realization_from_gram(g: GramMatrix, tol: Tolerances | None = None) -> Reali
 
 def gram_from_realization(x: Realization) -> GramMatrix:
     """Pairwise inner products of the rows of x: G = x x^T, symmetrized
-    by the :class:`GramMatrix` constructor."""
-    return GramMatrix(x.coords @ x.coords.T)
+    by the :class:`GramMatrix` constructor.  Computed in units of the largest
+    coordinate; an entry too large or too small for a float raises
+    FloatRangeError."""
+    unit = _unit(np.abs(x.coords))
+    c = x.coords / unit
+    return GramMatrix(_in_units(c @ c.T, unit, 2, "Gram entry"))
 
 
 def _pairwise_distances(x: np.ndarray) -> np.ndarray:
@@ -552,7 +572,7 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
     if np.isinf(extent).any():
         # A coordinate difference leaves the float range, so its distance does.
         raise FloatRangeError("distance", math.log10(np.ptp(0.5 * x, axis=0).max()) + math.log10(2.0))
-    unit = _unit_squares(extent)[1]
+    unit = _unit(extent)
     d2 = np.zeros((x.shape[0],) * 2)
     for col in x.T:
         d2 += np.square(np.subtract.outer(col, col) / unit)
@@ -569,5 +589,10 @@ def edm_from_realization(x: Realization) -> DistanceMatrix:
 
 
 def center_realization(x: Realization) -> Realization:
-    """Translate so the barycenter sits at the origin; distances are unchanged."""
-    return Realization(x.coords - x.coords.mean(axis=0))
+    """Translate so the barycenter sits at the origin; distances are unchanged.
+    Computed in units of the largest coordinate, so the mean does not
+    overflow; a centered coordinate too small for a float raises
+    FloatRangeError."""
+    unit = _unit(np.abs(x.coords))
+    c = x.coords / unit
+    return Realization(_in_units(c - c.mean(axis=0), unit, 1, "coordinate"))

@@ -29,7 +29,7 @@ from .matrices import (
     _classify_stack,
     _factor_gram,
     _flat_stack,
-    _threshold,
+    _rank_cut,
     _unit_squares,
     validate_distance_matrix,
 )
@@ -441,7 +441,7 @@ def verify_menger_criterion(
 
     d2, _ = _unit_squares(s.d.d)
     w = s.d._spectrum[1].eigenvalues
-    cut = _threshold(w, tol)
+    cut = _rank_cut(w, tol)[0]
     # Each subset's projected Gram is a compression of the centered Gram, so
     # by Cauchy interlacing its smallest eigenvalue lies between w[-1] and
     # w[dim]: within the cut, with room for rounding, for every subset at once.

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances, _factor_gram
-from .matrices import _cayley_menger_log, _from_log, _in_units, _threshold, _unit_squares
+from .matrices import DEFAULT_TOLERANCES, DistanceMatrix, Tolerances
+from .matrices import _cayley_menger_log, _from_log, _in_units, _rank_cut, _unit, _unit_squares
 
 __all__ = [
     "TriangleSides",
@@ -70,9 +70,9 @@ class SimplexSides:
 
 
 def _unit_triangle(t: TriangleSides) -> tuple[float, float, float, float, float]:
-    """The exact power-of-two :func:`_unit_squares` unit of the sides, and in units of it
-    the semiperimeter s and s-a, s-b, s-c: products of them neither overflow nor underflow."""
-    unit = _unit_squares(np.array([t.a, t.b, t.c]))[1]
+    """The exact power-of-two :func:`_unit` of the sides, and in units of it the
+    semiperimeter s and s-a, s-b, s-c: products of them neither overflow nor underflow."""
+    unit = _unit((t.a, t.b, t.c))
     a, b, c = t.a / unit, t.b / unit, t.c / unit
     s = 0.5 * (a + b + c)
     return unit, s, s - a, s - b, s - c
@@ -137,12 +137,12 @@ def simplex_volume(s: SimplexSides, tol: Tolerances | None = None) -> float:
     FloatRangeError.
     """
     n = s.m - 1
-    w, verdict, _ = _factor_gram(s.d._spectrum[1], tol or DEFAULT_TOLERANCES)
+    w = s.d._spectrum[1].eigenvalues
     d2, unit = _unit_squares(s.d.d)
     sign, log = _cayley_menger_log(d2)
     sign *= (-1) ** (n - 1)
     log -= n * math.log(2.0) + 2.0 * math.lgamma(n + 1)
-    if not verdict.is_psd:
+    if not _rank_cut(w, tol or DEFAULT_TOLERANCES)[2]:
         raise InfeasibleError(
             "side lengths are not realizable", _from_log(sign, log, unit, 2 * n, "squared volume")
         )
@@ -165,4 +165,4 @@ def is_flat(s: SimplexSides, tol: Tolerances | None = None) -> bool:
     eigenvalue, such as a regular simplex holding a 1-1-3 triangle.
     """
     w = s.d._spectrum[1].eigenvalues
-    return bool(np.count_nonzero(np.abs(w) <= _threshold(w, tol or DEFAULT_TOLERANCES)) >= 2)
+    return bool(np.count_nonzero(np.abs(w) <= _rank_cut(w, tol or DEFAULT_TOLERANCES)[0]) >= 2)

@@ -41,6 +41,7 @@ from .matrices import (
     _factor_gram,
     _in_units,
     _readonly,
+    _unit,
     _unit_squares,
     _ValueRecord,
 )
@@ -201,11 +202,11 @@ def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
     p = t.coords
     if p.shape != (4, 3):
         raise ValueError(f"need exactly 4 points in R^3, got shape {p.shape}")
+    p2, unit = _unit_squares(np.abs(p))
+    p = p / unit
     rank, _ = _classify_stack(_unit_squares(p[:, None, :] - p[None, :, :])[0].sum(axis=-1), tol)
     if rank < 3:
         return Circumsphere(math.inf, None)
-    p2, unit = _unit_squares(np.abs(p))
-    p = p / unit
     a = 2.0 * (p[1:] - p[0])
     b = p2[1:].sum(axis=1) - p2[0].sum()
     center = np.linalg.solve(a, b)
@@ -253,11 +254,10 @@ def inverse_circumradius(
     value = float(_inverse_circumradii(np.array([x * g.a_max]), g, tol or DEFAULT_TOLERANCES)[0])
     if math.isnan(value):
         return None
-    # a_max = 2 mantissa * 2^(exponent - 1), with 2 mantissa in [1, 2) and
-    # the power of two a float: divide by the one, shift by the other.
-    mantissa, exponent = math.frexp(g.a_max)
-    unit = math.ldexp(1.0, exponent - 1)
-    return _in_units(value / (2.0 * mantissa), unit, -1, "inverse circumradius")
+    # value is in 1/a_max, and a_max / unit lies in [1, 2): divide by the
+    # one, shift by the other.
+    unit = _unit(g.a_max)
+    return _in_units(value / (g.a_max / unit), unit, -1, "inverse circumradius")
 
 
 def _scan_grid(lo: float, hi: float, r_lo: float, r_hi: float) -> np.ndarray:

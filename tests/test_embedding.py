@@ -221,3 +221,25 @@ class TestTrilaterate:
             dists = np.linalg.norm(anchors - target, axis=1)
             got = trilaterate(TrilaterationProblem(Realization(anchors), dists))
             assert np.abs(got.coords[0] - target).max() <= 1e-9
+
+
+ANCHORS = Realization(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: TrilaterationProblem(ANCHORS, [1.0, -1.0, 1.0]), ValueError, "finite and nonnegative"),
+        (lambda: TrilaterationProblem(ANCHORS, [1.0, math.inf, 1.0]), ValueError, "finite and nonnegative"),
+        (lambda: TrilaterationProblem(ANCHORS, [1.0, math.nan, 1.0]), ValueError, "finite and nonnegative"),
+        (
+            lambda: trilaterate(TrilaterationProblem(Realization(np.zeros((2, 0))), [0.0, 0.0])),
+            DependentAnchorsError,
+            "zero-dimensional",
+        ),
+    ],
+    ids=["negative-distance", "infinite-distance", "nan-distance", "zero-dimensional-anchors"],
+)
+def test_malformed_trilateration_input_is_rejected(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

@@ -97,13 +97,6 @@ def sources_where(found):
     )
 
 
-def test_rank_tol_is_read_only_in_matrices():
-    # The matrices docstring says every rank cut is taken there; the
-    # flatness rule is one, so no other module reads the threshold.
-    readers = sources_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "rank_tol")
-    assert readers == ["matrices.py"]
-
-
 def test_determinants_are_taken_only_in_matrices():
     # Every determinant of a distance matrix is one log determinant of the
     # projected Gram, so no other module calls a determinant routine or reads
@@ -138,6 +131,27 @@ def top_level_users(name):
         for top in ast.parse(path.read_text()).body
         if any(map(uses, ast.walk(top)))
     )
+
+
+def test_rank_tol_is_read_only_in_matrices():
+    # The matrices docstring says every rank cut is taken there, by one
+    # function; the flatness rule is one, so no other code reads the threshold.
+    assert top_level_users("rank_tol") == [("matrices.py", "Tolerances"), ("matrices.py", "_rank_cut")]
+
+
+def test_the_rank_cut_has_no_second_home():
+    assert top_level_users("_threshold") == []
+
+
+def test_only_the_unit_reads_a_binary_exponent():
+    # One unit of length: the largest power of two not above the largest entry.
+    assert top_level_users("frexp") == [("matrices.py", "_unit")]
+
+
+def test_only_the_loss_check_reads_the_smallest_normal_float():
+    # Read once, at import, and only by _in_units, the one loss check.
+    assert top_level_users("tiny") == [("matrices.py", "<module>")]
+    assert top_level_users("_TINY") == [("matrices.py", "<module>"), ("matrices.py", "_in_units")]
 
 
 def test_no_decision_reads_a_determinant():

@@ -25,6 +25,7 @@ from distgeo.matrices import (
     DistanceMatrix,
     GramMatrix,
     Realization,
+    SpectralDecomposition,
     Tolerances,
     center_realization,
     double_center,
@@ -668,3 +669,29 @@ class TestRoundTrip:
             iu = np.triu_indices(n, 1)
             rel = np.abs(back.d[iu] - d.d[iu]) / np.maximum(d.d[iu], 1e-300)
             assert rel.max() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: GramMatrix(np.zeros((2, 3))), NonSquareError, "square"),
+        (lambda: GramMatrix(np.zeros((0, 0))), ValueError, "at least one point"),
+        (lambda: SpectralDecomposition(np.zeros(2), np.eye(3)), ValueError, "inconsistent"),
+        (lambda: SpectralDecomposition(np.array([0.0, 1.0]), np.eye(2)), ValueError, "descending"),
+        (lambda: Realization(np.zeros(3)), ValueError, "2-d array"),
+        (lambda: Realization(np.zeros((0, 2))), ValueError, "at least one point"),
+        (lambda: symmetric_eigendecomposition(np.zeros((2, 3))), NonSquareError, "square"),
+    ],
+    ids=[
+        "gram-not-square",
+        "gram-empty",
+        "spectrum-shapes",
+        "spectrum-unsorted",
+        "realization-not-2d",
+        "realization-empty",
+        "eigendecomposition-not-square",
+    ],
+)
+def test_malformed_records_are_rejected(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

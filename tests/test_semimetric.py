@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from distgeo.errors import SizeMismatchError, TooLargeError, ZeroOffDiagonalError
-from distgeo.matrices import Realization, edm_from_realization
+from distgeo.matrices import DistanceMatrix, Realization, edm_from_realization
 from distgeo.semimetric import (
+    CongruenceWitness,
+    FiniteSemiMetricSpace,
     congruently_embeddable,
     find_congruence,
     validate_semi_metric,
@@ -242,3 +244,19 @@ class TestVerifyMengerCriterion:
                     verify_menger_criterion(s, dim).embeddable
                     == congruently_embeddable(s, dim).embeddable
                 )
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FiniteSemiMetricSpace(("a", "b"), DistanceMatrix(TETRA)), "2 labels for 4 points"),
+        (lambda: CongruenceWitness((0, 0, 2)), "not a permutation"),
+        (lambda: CongruenceWitness((1, 2)), "not a permutation"),
+        (lambda: congruently_embeddable(validate_semi_metric(SQUARE), -1), "dimension must be nonnegative"),
+        (lambda: verify_menger_criterion(validate_semi_metric(SQUARE), -1), "dimension must be nonnegative"),
+    ],
+    ids=["label-count", "repeated-image", "image-out-of-range", "embeddable-negative-dim", "menger-negative-dim"],
+)
+def test_malformed_input_is_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -25,8 +25,6 @@ from distgeo.matrices import (
     Tolerances,
     _center,
     _in_units,
-    _rank_cut,
-    _threshold,
     _unit_squares,
     edm_from_realization,
     symmetric_eigendecomposition,
@@ -149,13 +147,15 @@ def readers(d: DistanceMatrix, tol: Tolerances, dim: int) -> dict:
 def reference(d: np.ndarray, tol: Tolerances, dim: int) -> dict:
     """What the readers return, each from its own eigendecomposition; for
     congruently_embeddable, only the verdict and realization of the PSD
-    route, which is all it reads from the spectrum."""
+    route, which is all it reads from the spectrum.  The rank cut is spelled
+    out too: rank_tol times the spectral radius."""
     d2, unit = _unit_squares(d)
     dec = symmetric_eigendecomposition(_center(d2))
     w = dec.eigenvalues
-    rank, is_psd = _rank_cut(w, tol)
+    cut = tol.rank_tol * max(w[0], -w[-1])
+    rank, is_psd = int(np.count_nonzero(w > cut)), w[-1] >= -cut
     coords = dec.eigenvectors[:, :rank] * np.sqrt(w[:rank])
-    within = np.abs(w) <= _threshold(w, tol)
+    within = np.abs(w) <= cut
     if within[-1]:
         witness = float(_in_units(w[-1], unit, 2, "eigenvalue", residue=True))
     else:

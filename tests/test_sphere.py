@@ -18,12 +18,13 @@ from distgeo.errors import (
     NotApplicableError,
     NotRealizableError,
 )
-from distgeo.matrices import Realization
+from distgeo.matrices import DistanceMatrix, Realization
 from distgeo import sphere
 from distgeo.sphere import (
     SCAN_POINTS,
     VERTEX_PAIRS,
     GeodesicTetrahedron,
+    SphericalEmbedding,
     chord_length,
     circumradius,
     embed_on_sphere,
@@ -488,3 +489,51 @@ class TestRefinementWork:
         )
         emb = embed_on_sphere(g)
         assert math.isfinite(emb.radius)
+
+
+def test_geodesic_tetrahedron_round_trips_through_its_distance_matrix():
+    g = GeodesicTetrahedron(REGULAR_GEODESIC * np.array([1.0, 1.1, 0.9, 1.05, 0.95, 1.0]))
+    d = g.distance_matrix()
+    assert d.n == 4
+    assert [d.d[i, j] for i, j in VERTEX_PAIRS] == list(g.a)
+    assert GeodesicTetrahedron.from_distance_matrix(d) == g
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: GeodesicTetrahedron(np.ones(5)), "expected 6 side lengths"),
+        (lambda: GeodesicTetrahedron(np.ones((2, 3))), "expected 6 side lengths"),
+        (lambda: GeodesicTetrahedron([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]), "positive reals"),
+        (lambda: GeodesicTetrahedron([1.0, 1.0, -1.0, 1.0, 1.0, 1.0]), "positive reals"),
+        (lambda: GeodesicTetrahedron([1.0, 1.0, math.inf, 1.0, 1.0, 1.0]), "positive reals"),
+        (lambda: GeodesicTetrahedron.from_distance_matrix(DistanceMatrix(np.zeros((3, 3)))), "4x4"),
+        (lambda: SphericalEmbedding(1.0, np.zeros((3, 3)), np.zeros(6)), "4x3 points and 6 geodesics"),
+        (lambda: SphericalEmbedding(1.0, np.zeros((4, 3)), np.zeros(5)), "4x3 points and 6 geodesics"),
+        (lambda: SphericalEmbedding(0.0, np.zeros((4, 3)), np.zeros(6)), "positive real"),
+        (lambda: SphericalEmbedding(math.inf, np.zeros((4, 3)), np.zeros(6)), "positive real"),
+        (lambda: chord_length(-1.0, 0.5), "geodesic length must be nonnegative"),
+        (lambda: tetrahedron_from_chords(np.ones(5)), "expected 6 chord lengths"),
+        (lambda: circumradius(Realization(np.zeros((4, 2)))), "4 points in R"),
+        (lambda: circumradius(Realization(np.zeros((3, 3)))), "4 points in R"),
+    ],
+    ids=[
+        "geodesics-count",
+        "geodesics-shape",
+        "geodesic-zero",
+        "geodesic-negative",
+        "geodesic-infinite",
+        "from-3x3",
+        "embedding-points-shape",
+        "embedding-geodesics-shape",
+        "embedding-zero-radius",
+        "embedding-infinite-radius",
+        "chord-negative-geodesic",
+        "chords-shape",
+        "circumradius-plane-points",
+        "circumradius-three-points",
+    ],
+)
+def test_malformed_input_is_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
