@@ -505,6 +505,48 @@ def _flat_stack(d2: np.ndarray, cut: float) -> np.ndarray:
     return flat
 
 
+@functools.lru_cache(maxsize=1)
+def _tetrahedron_map() -> np.ndarray:
+    """(6, 6) map from the squared edges of a tetrahedron, listed in
+    ``combinations(range(4), 2)`` order, to the upper triangle of its
+    :func:`_project`ed Gram, row by row.  Read-only."""
+    rows, cols = np.triu_indices(4, 1)
+    edges = np.zeros((6, 4, 4))
+    edges[np.arange(6), rows, cols] = edges[np.arange(6), cols, rows] = 1.0
+    upper = np.triu_indices(3)
+    m = _project(edges)[:, upper[0], upper[1]]
+    m.setflags(write=False)
+    return m
+
+
+def _solid_tetrahedra(c2: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Rows of an (S, 6) stack of squared tetrahedron edges, in
+    ``combinations(range(4), 2)`` order, certified as EDMs of rank 3.
+
+    For each row's :func:`_project`ed Gram P, an unpivoted Cholesky of
+    P - tI, with t = 2 rank_tol ||P||_F (the :func:`_rank_cut` of ||P||_F,
+    doubled), runs one column at a time over the stack.  Cholesky is
+    backward stable (N. J. Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10), so where its three pivots are positive
+    every eigenvalue of P exceeds t less a rounding error far below t / 2.
+    That clears rank_tol ||P||_F, at least the cut rank_tol rho that
+    :func:`_classify_stack` takes, as the spectral radius rho is at most
+    ||P||_F: such a row is an EDM of rank 3.  An uncertified row may still
+    be one; only it needs ``eigvalsh``.
+    """
+    p00, p01, p02, p11, p12, p22 = (c2 @ _tetrahedron_map()).T
+    norm = np.sqrt(p00 * p00 + p11 * p11 + p22 * p22 + 2.0 * (p01 * p01 + p02 * p02 + p12 * p12))
+    t = 2.0 * _rank_cut(norm[:, None], tol)[0]
+    # A pivot at or below zero turns into NaN or inf, which no later
+    # pivot survives.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l00 = np.sqrt(p00 - t)
+        l10, l20 = p01 / l00, p02 / l00
+        l11 = np.sqrt(p11 - t - l10 * l10)
+        l21 = (p12 - l20 * l10) / l11
+        return p22 - t - l20 * l20 - l21 * l21 > 0.0
+
+
 def _factor_gram(
     dec: SpectralDecomposition, tol: Tolerances
 ) -> tuple[float, PsdVerdict, np.ndarray]:

@@ -15,7 +15,10 @@ The first grid is uniform and also holds x = 0, where the chord tetrahedron
 is the input itself, so the same scan says whether the input is realizable
 in 3-space and not planar; once the residual is finite at both bracket ends,
 a later grid also clusters points around the false-position estimate, so a
-smooth residual closes the bracket in a few scans.
+smooth residual closes the bracket in a few scans.  A scan first certifies
+the solid chord tetrahedra, nearly all of them, by a Cholesky factor of
+their shifted Gram matrices (``matrices._solid_tetrahedra``); only the rest
+reach the eigensolver.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .matrices import (
     _factor_gram,
     _in_units,
     _readonly,
+    _solid_tetrahedra,
     _unit,
     _unit_squares,
     _ValueRecord,
@@ -196,7 +200,10 @@ def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
     Solves the linear system equating squared distances to a common center.
     When the points span fewer than 3 dimensions by the toolkit's one rank
     cut (as in :func:`distgeo.embedding.classify_edm`) they are coplanar and
-    the radius is infinite.  Solved in units of the coordinates' extent.
+    the radius is infinite.  Solved in units of the coordinates' extent; a
+    radius or centre too large or too small for a float raises
+    FloatRangeError, except that a centre coordinate below the smallest
+    normal float comes back as 0.0.
     """
     tol = tol or DEFAULT_TOLERANCES
     p = t.coords
@@ -210,8 +217,14 @@ def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
     a = 2.0 * (p[1:] - p[0])
     b = p2[1:].sum(axis=1) - p2[0].sum()
     center = np.linalg.solve(a, b)
-    radius = float(np.linalg.norm(p - center, axis=1).mean())
-    return Circumsphere(radius * unit, center * unit)
+    radius = np.linalg.norm(p - center, axis=1).mean()
+    # One loss check for the radius and the centre together.  A centre
+    # coordinate below 1 in units, the size of the largest point coordinate,
+    # that lands below the normal range is far under the points' own float
+    # spacing (unless they lie near that range too), so it comes back 0.0.
+    residue = np.append(np.abs(center) < 1.0, False)
+    scaled = _in_units(np.append(center, radius), unit, 1, "circumsphere", residue=residue)
+    return Circumsphere(float(scaled[3]), scaled[:3])
 
 
 def _inverse_circumradii(
@@ -225,11 +238,20 @@ def _inverse_circumradii(
     Cayley-Menger ratio R^2 = -det(D^2) / (2 det(CM)) without the two
     determinants, which lose digits on needle-shaped tetrahedra.  Chords are
     taken in units of a_max, so the residual neither over- nor underflows.
+    Rows that :func:`~distgeo.matrices._solid_tetrahedra` certifies have
+    rank 3 without an eigensolver; only the others are classified by
+    ``_classify_stack``, one batched eigvalsh.  Either way a row gets the
+    value that classifying every row would give, bit for bit.
     """
-    d2 = _pair_matrices(_chords(g.a / g.a_max, xs[:, None]) ** 2)
-    rank, is_psd = _classify_stack(d2, tol)
-    out = np.where(is_psd & (rank < 3), 0.0, np.nan)
-    solid = is_psd & (rank == 3)
+    c2 = _chords(g.a / g.a_max, xs[:, None]) ** 2
+    d2 = _pair_matrices(c2)
+    out = np.full(xs.shape, np.nan)
+    solid = _solid_tetrahedra(c2, tol)
+    rest = ~solid
+    if rest.any():
+        rank, is_psd = _classify_stack(d2[rest], tol)
+        out[rest] = np.where(is_psd & (rank < 3), 0.0, np.nan)
+        solid[rest] = is_psd & (rank == 3)
     d2 = d2[solid]
     b = d2[:, 0, 1:]
     bgb = (b * np.linalg.solve(_anchor(d2), b[..., None])[..., 0]).sum(axis=-1)

@@ -156,6 +156,26 @@ def test_circumradius_near_the_top_of_the_float_range():
     np.testing.assert_allclose(sphere.center, 0.0, atol=1e293)
 
 
+def test_circumradius_past_the_top_of_the_float_range_raises():
+    # nearly coplanar, so the radius is about 210 times the spread: about
+    # 2.1e308, which no float holds
+    p = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 1e-3]]) * 1e306
+    with pytest.raises(FloatRangeError, match=r"^circumsphere of about 10\^308\.3 "):
+        circumradius(Realization(p))
+
+
+def test_circumradius_centre_residue_below_the_float_range_is_zero():
+    # centred at the origin, so the solved centre is rounding residue,
+    # about 1e-17 of the radius: below the normal range at this scale
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        v = rng.standard_normal((4, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        sphere = circumradius(Realization(v * 1e-300))
+        assert sphere.radius == pytest.approx(1e-300, rel=1e-9)
+        np.testing.assert_allclose(sphere.center, 0.0, atol=1e-310)
+
+
 def test_eigenvalue_order_check_does_not_overflow():
     dec = symmetric_eigendecomposition(np.array([[0.0, 1.7e308], [1.7e308, 0.0]]))
     np.testing.assert_allclose(dec.eigenvalues, [1.7e308, -1.7e308], rtol=1e-12)

@@ -166,6 +166,13 @@ def test_no_decision_reads_a_determinant():
     ]
 
 
+def test_the_solid_certificate_serves_only_the_sphere_scan():
+    # Chord tetrahedra are nearly always solid and subsets mostly are not,
+    # so only the sphere's residual scan tries the Cholesky certificate
+    # before the eigensolver.
+    assert top_level_users("_solid_tetrahedra") == [("sphere.py", "_inverse_circumradii")]
+
+
 def test_validity_is_checked_only_by_the_records():
     # Each distance matrix is checked once, by the DistanceMatrix
     # constructor: validate_distance_matrix constructs, and repairs only

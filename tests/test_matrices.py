@@ -40,6 +40,9 @@ from distgeo.matrices import (
     _helmert,
     _in_units,
     _pairwise_distances,
+    _project,
+    _solid_tetrahedra,
+    _tetrahedron_map,
     _unit_squares,
     validate_distance_matrix,
 )
@@ -473,6 +476,62 @@ class TestClassifyStack:
         rank, is_edm = _classify_stack(np.array([D.d**2 for D in ds]).reshape(-1, k, k), tol)
         want = [(c.dim, c.is_edm) for c in map(classify_edm, ds)]
         assert list(zip(rank.tolist(), is_edm.tolist())) == want
+
+
+EDGES = np.triu_indices(4, 1)  # combinations(range(4), 2) order
+
+
+def pair_matrices(c2):
+    d2 = np.zeros(c2.shape[:-1] + (4, 4))
+    d2[..., EDGES[0], EDGES[1]] = d2[..., EDGES[1], EDGES[0]] = c2
+    return d2
+
+
+def tetrahedron_stack(rng, size):
+    """(size, 6) squared edges of tetrahedra flattened along one axis to a
+    thickness in [1e-7, 1] and scaled by 10^[-3, 3]; about 30 % have one
+    squared edge moved by a relative 10^[-6, -0.5], mostly off the EDM cone."""
+    pts = rng.standard_normal((size, 4, 3))
+    pts[..., 2] *= 10.0 ** rng.uniform(-7, 0, (size, 1))
+    c2 = ((pts[:, EDGES[0]] - pts[:, EDGES[1]]) ** 2).sum(axis=-1) * 10.0 ** rng.uniform(-6, 6, (size, 1))
+    off = np.flatnonzero(rng.random(size) < 0.3)
+    shift = rng.choice([-1.0, 1.0], off.size) * 10.0 ** rng.uniform(-6, -0.5, off.size)
+    c2[off, rng.integers(0, 6, off.size)] *= 1.0 + shift
+    return c2
+
+
+class TestSolidTetrahedra:
+    def test_map_gives_the_projected_gram(self):
+        c2 = tetrahedron_stack(np.random.default_rng(0), 50)
+        p = _project(pair_matrices(c2))
+        upper = np.triu_indices(3)
+        scale = np.abs(p).max(axis=(-2, -1))[:, None]
+        np.testing.assert_allclose(c2 @ _tetrahedron_map() / scale, p[:, upper[0], upper[1]] / scale, atol=1e-15)
+        assert not _tetrahedron_map().flags.writeable
+
+    def test_certifies_solid_rows_only(self):
+        regular = np.ones(6)
+        square = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
+        stretched = np.array([1.0, 1.0, 1.0, 9.0, 1.0, 1.0])
+        # a unit square's corner (1/2, 1/2) lifted by h: the projected Gram
+        # has eigenvalues 1, 0.375 and 3 h^2 / 4 = 1.5e-9, above the cut of
+        # 1e-9 but within the certificate's margin of twice it
+        thin = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, math.sqrt(2e-9)]])
+        thin_c2 = ((thin[EDGES[0]] - thin[EDGES[1]]) ** 2).sum(axis=-1)
+        c2 = np.array([regular, square, stretched, np.zeros(6), thin_c2])
+        assert _solid_tetrahedra(c2, Tolerances()).tolist() == [True, False, False, False, False]
+        rank, is_edm = _classify_stack(pair_matrices(c2), Tolerances())
+        assert is_edm.tolist() == [True, True, False, True, True]
+        assert rank[[0, 1, 3, 4]].tolist() == [3, 2, 0, 3]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-12, -3))
+    def test_certified_rows_are_edms_of_rank_3(self, seed, log_tol):
+        tol = Tolerances(rank_tol=10.0**log_tol)
+        c2 = tetrahedron_stack(np.random.default_rng(seed), 256)
+        solid = _solid_tetrahedra(c2, tol)
+        rank, is_edm = _classify_stack(pair_matrices(c2[solid]), tol)
+        assert (rank == 3).all() and is_edm.all()
 
 
 class TestPsdVerdict:

@@ -5,6 +5,7 @@ side sqrt(8/3), geodesic (central angle) 2 asin(sqrt(2/3)) = 1.9106332...
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from distgeo.errors import (
     NotApplicableError,
     NotRealizableError,
 )
-from distgeo.matrices import DistanceMatrix, Realization
+from distgeo.matrices import DEFAULT_TOLERANCES, DistanceMatrix, Realization, _anchor, _classify_stack
 from distgeo import sphere
 from distgeo.sphere import (
     SCAN_POINTS,
@@ -62,10 +63,21 @@ def random_cap_geodesics(rng):
     """Geodesics of four points on a unit-sphere cap, possibly perturbed."""
     v = rng.standard_normal((4, 3)) * rng.uniform(0.1, 0.7) + [0.0, 0.0, 1.0]
     v /= np.linalg.norm(v, axis=1)[:, None]
-    a = np.array(
+    return geodesics_on_sphere(v) * (1.0 + rng.uniform(-0.2, 0.2, 6) * (rng.uniform() < 0.2))
+
+
+def cap_geodesics(rng, theta):
+    """Geodesics of four uniform random points in a unit-sphere cap of angular radius theta."""
+    z = rng.uniform(math.cos(theta), 1.0, 4)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 4)
+    rho = np.sqrt(1.0 - z * z)
+    return geodesics_on_sphere(np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1))
+
+
+def geodesics_on_sphere(v):
+    return np.array(
         [math.atan2(np.linalg.norm(np.cross(v[i], v[j])), v[i] @ v[j]) for i, j in VERTEX_PAIRS]
     )
-    return a * (1.0 + rng.uniform(-0.2, 0.2, 6) * (rng.uniform() < 0.2))
 
 
 def reference_inverse_circumradius(x, g):
@@ -489,6 +501,77 @@ class TestRefinementWork:
         )
         emb = embed_on_sphere(g)
         assert math.isfinite(emb.radius)
+
+
+def classified_inverse_circumradii(xs, g, tol):
+    """_inverse_circumradii with every row classified by _classify_stack."""
+    d2 = sphere._pair_matrices(sphere._chords(g.a / g.a_max, xs[:, None]) ** 2)
+    rank, is_psd = _classify_stack(d2, tol)
+    out = np.where(is_psd & (rank < 3), 0.0, np.nan)
+    solid = is_psd & (rank == 3)
+    d2 = d2[solid]
+    b = d2[:, 0, 1:]
+    out[solid] = 2.0 / np.sqrt((b * np.linalg.solve(_anchor(d2), b[..., None])[..., 0]).sum(axis=-1))
+    return out
+
+
+def outcome(g):
+    """embed_on_sphere's record, or the type and message of what it raised."""
+    try:
+        return embed_on_sphere(g)
+    except (NotApplicableError, NoConvergenceError) as err:
+        return type(err), str(err)
+
+
+def fixture_geodesics():
+    fixture = np.loadtxt(Path(__file__).parent / "fixtures" / "regular_geodesics.txt")
+    return [
+        GeodesicTetrahedron.from_distance_matrix(DistanceMatrix(fixture)),
+        GeodesicTetrahedron(np.full(6, REGULAR_GEODESIC)),
+        GeodesicTetrahedron(REGULAR_GEODESIC * np.array([1.0, 1.1, 0.9, 1.05, 0.95, 1.0])),
+        GeodesicTetrahedron(geodesics_of(NEEDLE)),
+        GeodesicTetrahedron(SQUARE_CHORDS),
+        GeodesicTetrahedron(np.array([1, 1, 1, 3, 1, 1.0])),
+    ]
+
+
+def caps(seed, low, high, count=40):
+    rng = np.random.default_rng(seed)
+    return [GeodesicTetrahedron(cap_geodesics(rng, rng.uniform(low, high))) for _ in range(count)]
+
+
+class TestSolidCertificate:
+    """The residual scan certifies solid chord tetrahedra by a Cholesky
+    factor and sends only the other rows to the eigensolver; the residuals
+    must be the ones every row's eigenvalues give."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-7, 0), st.floats(-3, 3), st.booleans())
+    def test_residuals_match_classifying_every_row(self, seed, log_thickness, log_scale, perturb):
+        # flattened tetrahedra, their geodesics read as Euclidean lengths,
+        # some pushed off the EDM cone
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((4, 3)) * [1.0, 1.0, 10.0**log_thickness]
+        a = geodesics_of(pts) * 10.0**log_scale
+        if perturb:
+            a *= 1.0 + rng.uniform(-0.2, 0.2, 6)
+        g = GeodesicTetrahedron(a)
+        xs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, SCAN_POINTS - 1))])
+        want = classified_inverse_circumradii(xs, g, DEFAULT_TOLERANCES)
+        np.testing.assert_array_equal(sphere._inverse_circumradii(xs, g, DEFAULT_TOLERANCES), want)
+
+    @pytest.mark.parametrize(
+        "make, least",
+        [(fixture_geodesics, 4), (lambda: caps(46, 0.3, 1.2), 5), (lambda: caps(47, 0.005, 0.05), 5)],
+        ids=["fixtures", "caps", "small-caps"],
+    )
+    def test_eigensolver_alone_gives_the_same_embeddings(self, monkeypatch, make, least):
+        # Small caps matter: their thin chord tetrahedra reach the eigensolver.
+        cases = make()
+        want = [outcome(g) for g in cases]
+        assert sum(isinstance(o, SphericalEmbedding) for o in want) >= least
+        monkeypatch.setattr(sphere, "_solid_tetrahedra", lambda c2, tol: np.zeros(len(c2), dtype=bool))
+        assert [outcome(g) for g in cases] == want
 
 
 def test_geodesic_tetrahedron_round_trips_through_its_distance_matrix():
