@@ -4,10 +4,11 @@ Any 4-point metric realizable in 3-space but not in the plane also lives on
 the surface of some sphere.  The construction turns geodesics into chords
 for a trial inverse radius x and compares the chord tetrahedron's inverse
 circumradius with x; the sphere that works is a fixed point.  The inverse
-circumradius comes from the chord lengths alone, by the Cayley-Menger
-identity R^2 = -det(D^2) / (2 det(CM)), evaluated as a solve with the
-Gram matrix anchored at one vertex, so only the final sphere is realized
-as points.  This script tabulates the residual, then solves it.
+circumradius comes from the chord lengths alone, by the circumcentre
+equation on the centred tetrahedron, R^2 = sum(c^2) / 16 + u^T P^-1 u with
+P its Gram matrix (a Cholesky factor gives P^-1 u), so only the final
+sphere is realized as points.  This script tabulates the residual, then
+solves it.
 """
 
 import math

@@ -388,12 +388,6 @@ def double_center(D: DistanceMatrix) -> GramMatrix:
     return GramMatrix(_in_units(_center(d2), unit, 2, "Gram entry"))
 
 
-def _anchor(d2: np.ndarray) -> np.ndarray:
-    """(d_0i^2 + d_0j^2 - d_ij^2) / 2 for i, j >= 1, over the last two axes of ``d2``."""
-    row = d2[..., 0, 1:]
-    return 0.5 * (row[..., :, None] + row[..., None, :] - d2[..., 1:, 1:])
-
-
 def schoenberg_gram(D: DistanceMatrix) -> GramMatrix:
     """Gram matrix anchored at point 0: G_ij = (d_0i^2 + d_0j^2 - d_ij^2) / 2.
 
@@ -405,7 +399,9 @@ def schoenberg_gram(D: DistanceMatrix) -> GramMatrix:
     if D.n < 2:
         raise ValueError("anchored Gram matrix needs at least 2 points")
     d2, unit = _unit_squares(D.d)
-    return GramMatrix(_in_units(_anchor(d2), unit, 2, "Gram entry"))
+    row = d2[0, 1:]
+    g = 0.5 * (row[:, None] + row[None, :] - d2[1:, 1:])
+    return GramMatrix(_in_units(g, unit, 2, "Gram entry"))
 
 
 def symmetric_eigendecomposition(g: GramMatrix | np.ndarray) -> SpectralDecomposition:
@@ -519,22 +515,39 @@ def _tetrahedron_map() -> np.ndarray:
     return m
 
 
-def _solid_tetrahedra(c2: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Rows of an (S, 6) stack of squared tetrahedron edges, in
-    ``combinations(range(4), 2)`` order, certified as EDMs of rank 3.
+@functools.lru_cache(maxsize=1)
+def _circumcentre_map() -> np.ndarray:
+    """(6, 3) map from the squared edges of a tetrahedron, listed in
+    ``combinations(range(4), 2)`` order, to u = R^T s / 8, with R the
+    :func:`_helmert` basis and s_i the sum of the squared edges at vertex i.
 
-    For each row's :func:`_project`ed Gram P, an unpivoted Cholesky of
-    P - tI, with t = 2 rank_tol ||P||_F (the :func:`_rank_cut` of ||P||_F,
-    doubled), runs one column at a time over the stack.  Cholesky is
-    backward stable (N. J. Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 10), so where its three pivots are positive
-    every eigenvalue of P exceeds t less a rounding error far below t / 2.
-    That clears rank_tol ||P||_F, at least the cut rank_tol rho that
-    :func:`_classify_stack` takes, as the spectral radius rho is at most
-    ||P||_F: such a row is an EDM of rank 3.  An uncertified row may still
-    be one; only it needs ``eigvalsh``.
+    With the centred vertices as the rows of X and Z = R^T X, the
+    :func:`_project`ed Gram is P = Z Z^T and the circumcentre c solves
+    Z c = u, so |c|^2 = u^T P^-1 u.  Read-only."""
+    rows, cols = np.triu_indices(4, 1)
+    incidence = np.zeros((6, 4))
+    incidence[np.arange(6), rows] = incidence[np.arange(6), cols] = 1.0
+    m = incidence @ _helmert(4)[1] / 8.0
+    m.setflags(write=False)
+    return m
+
+
+def _solid_tetrahedra(p: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Tetrahedra certified as EDMs of rank 3, from the six upper-triangle
+    entries of each one's :func:`_project`ed Gram P, a (6, S) array (the
+    :func:`_tetrahedron_map` of its squared edges).
+
+    An unpivoted Cholesky of P - tI, with t = 2 rank_tol ||P||_F (the
+    :func:`_rank_cut` of ||P||_F, doubled), runs one column at a time over
+    the stack.  Cholesky is backward stable (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10), so where its three
+    pivots are positive every eigenvalue of P exceeds t less a rounding
+    error far below t / 2.  That clears rank_tol ||P||_F, at least the cut
+    rank_tol rho that :func:`_classify_stack` takes, as the spectral radius
+    rho is at most ||P||_F: such a tetrahedron is an EDM of rank 3.  An
+    uncertified one may still be; only it needs ``eigvalsh``.
     """
-    p00, p01, p02, p11, p12, p22 = (c2 @ _tetrahedron_map()).T
+    p00, p01, p02, p11, p12, p22 = p
     norm = np.sqrt(p00 * p00 + p11 * p11 + p22 * p22 + 2.0 * (p01 * p01 + p02 * p02 + p12 * p12))
     t = 2.0 * _rank_cut(norm[:, None], tol)[0]
     # A pivot at or below zero turns into NaN or inf, which no later
@@ -606,8 +619,11 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
     The squared differences are summed one coordinate column at a time into
     one n-by-n array: O(n^2 k) work and no n-by-n-by-k temporary.  Each
     difference is taken before it is scaled, so coincident points stay at
-    distance 0 wherever they sit.  A distance too large for a float raises
-    FloatRangeError.
+    distance 0 wherever they sit.  A pair of distinct points whose square in
+    units lands below the normal range, where it keeps few bits or none, is
+    measured again by ``np.hypot`` over its coordinate differences; on
+    ordinary input only the diagonal's squares are that small.  A distance
+    too large for a float raises FloatRangeError.
     """
     with np.errstate(over="ignore"):
         extent = np.ptp(x, axis=0)
@@ -621,7 +637,15 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
     top = math.sqrt(d2.max())
     if math.isinf(top * unit):
         raise FloatRangeError("distance", math.log10(top) + math.log10(unit))
-    return np.multiply(np.sqrt(d2, out=d2), unit, out=d2)
+    pairs = None
+    if np.count_nonzero(d2 < _TINY) > x.shape[0]:
+        i, j = np.nonzero(d2 < _TINY)
+        far = (x[i] != x[j]).any(axis=1)
+        pairs = i[far], j[far]
+    d = np.multiply(np.sqrt(d2, out=d2), unit, out=d2)
+    if pairs is not None:
+        d[pairs] = np.hypot.reduce(x[pairs[0]] - x[pairs[1]], axis=1)
+    return d
 
 
 def edm_from_realization(x: Realization) -> DistanceMatrix:

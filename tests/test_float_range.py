@@ -176,6 +176,16 @@ def test_circumradius_centre_residue_below_the_float_range_is_zero():
         np.testing.assert_allclose(sphere.center, 0.0, atol=1e-310)
 
 
+@pytest.mark.parametrize("gap", [1e-200, 1e-160])
+def test_distinct_points_keep_their_distance_below_the_square_range(gap):
+    # In units of the spread, 1, the squared gap underflows: to 0.0 at
+    # 1e-200, to a subnormal with a few bits at 1e-160.
+    d = edm_from_realization(Realization([[0.0], [gap], [1.0]])).d
+    assert d[0, 1] == d[1, 0] == gap
+    assert d[1, 2] == d[2, 1] == 1.0 - gap
+    assert d[0, 2] == 1.0
+
+
 def test_eigenvalue_order_check_does_not_overflow():
     dec = symmetric_eigendecomposition(np.array([[0.0, 1.7e308], [1.7e308, 0.0]]))
     np.testing.assert_allclose(dec.eigenvalues, [1.7e308, -1.7e308], rtol=1e-12)

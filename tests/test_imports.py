@@ -149,9 +149,14 @@ def test_only_the_unit_reads_a_binary_exponent():
 
 
 def test_only_the_loss_check_reads_the_smallest_normal_float():
-    # Read once, at import, and only by _in_units, the one loss check.
+    # Read once, at import, by _in_units, the one loss check, and by
+    # _pairwise_distances, which finds the squares in units that lost bits.
     assert top_level_users("tiny") == [("matrices.py", "<module>")]
-    assert top_level_users("_TINY") == [("matrices.py", "<module>"), ("matrices.py", "_in_units")]
+    assert top_level_users("_TINY") == [
+        ("matrices.py", "<module>"),
+        ("matrices.py", "_in_units"),
+        ("matrices.py", "_pairwise_distances"),
+    ]
 
 
 def test_no_decision_reads_a_determinant():
@@ -171,6 +176,13 @@ def test_the_solid_certificate_serves_only_the_sphere_scan():
     # so only the sphere's residual scan tries the Cholesky certificate
     # before the eigensolver.
     assert top_level_users("_solid_tetrahedra") == [("sphere.py", "_inverse_circumradii")]
+
+
+def test_only_the_final_circumsphere_solves_a_linear_system():
+    # The residual scan reads each chord tetrahedron's radius off a Cholesky
+    # factor of its projected Gram, so the one np.linalg.solve is the final
+    # circumradius's, once per embedding.
+    assert top_level_users("solve") == [("sphere.py", "circumradius")]
 
 
 def test_validity_is_checked_only_by_the_records():

@@ -36,6 +36,7 @@ from distgeo.matrices import (
     schoenberg_gram,
     symmetric_eigendecomposition,
     _center,
+    _circumcentre_map,
     _classify_stack,
     _helmert,
     _in_units,
@@ -487,6 +488,11 @@ def pair_matrices(c2):
     return d2
 
 
+def certified(c2, tol):
+    """_solid_tetrahedra of an (S, 6) stack of squared edges."""
+    return _solid_tetrahedra(_tetrahedron_map().T @ c2.T, tol)
+
+
 def tetrahedron_stack(rng, size):
     """(size, 6) squared edges of tetrahedra flattened along one axis to a
     thickness in [1e-7, 1] and scaled by 10^[-3, 3]; about 30 % have one
@@ -509,6 +515,22 @@ class TestSolidTetrahedra:
         np.testing.assert_allclose(c2 @ _tetrahedron_map() / scale, p[:, upper[0], upper[1]] / scale, atol=1e-15)
         assert not _tetrahedron_map().flags.writeable
 
+    def test_circumcentre_map_gives_the_centre_in_gram_coordinates(self):
+        # With Z = R^T X for the centred vertices X, Z c = u for the
+        # circumcentre c, and the circumradius is |c|^2 + sum(c2) / 16.
+        rng = np.random.default_rng(1)
+        right = _helmert(4)[1]
+        for _ in range(20):
+            x = rng.standard_normal((4, 3))
+            x -= x.mean(axis=0)
+            centre = np.linalg.solve(2.0 * (x[1:] - x[0]), (x[1:] ** 2).sum(axis=1) - (x[0] ** 2).sum())
+            c2 = ((x[EDGES[0]] - x[EDGES[1]]) ** 2).sum(axis=-1)
+            u = c2 @ _circumcentre_map()
+            np.testing.assert_allclose(right.T @ x @ centre, u, rtol=1e-10, atol=1e-12)
+            radius2 = ((x[0] - centre) ** 2).sum()
+            assert centre @ centre + c2.sum() / 16.0 == pytest.approx(radius2, rel=1e-12)
+        assert not _circumcentre_map().flags.writeable
+
     def test_certifies_solid_rows_only(self):
         regular = np.ones(6)
         square = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
@@ -519,7 +541,7 @@ class TestSolidTetrahedra:
         thin = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, math.sqrt(2e-9)]])
         thin_c2 = ((thin[EDGES[0]] - thin[EDGES[1]]) ** 2).sum(axis=-1)
         c2 = np.array([regular, square, stretched, np.zeros(6), thin_c2])
-        assert _solid_tetrahedra(c2, Tolerances()).tolist() == [True, False, False, False, False]
+        assert certified(c2, Tolerances()).tolist() == [True, False, False, False, False]
         rank, is_edm = _classify_stack(pair_matrices(c2), Tolerances())
         assert is_edm.tolist() == [True, True, False, True, True]
         assert rank[[0, 1, 3, 4]].tolist() == [3, 2, 0, 3]
@@ -529,7 +551,7 @@ class TestSolidTetrahedra:
     def test_certified_rows_are_edms_of_rank_3(self, seed, log_tol):
         tol = Tolerances(rank_tol=10.0**log_tol)
         c2 = tetrahedron_stack(np.random.default_rng(seed), 256)
-        solid = _solid_tetrahedra(c2, tol)
+        solid = certified(c2, tol)
         rank, is_edm = _classify_stack(pair_matrices(c2[solid]), tol)
         assert (rank == 3).all() and is_edm.all()
 
