@@ -532,32 +532,43 @@ def _circumcentre_map() -> np.ndarray:
     return m
 
 
-def _solid_tetrahedra(p: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Tetrahedra certified as EDMs of rank 3, from the six upper-triangle
-    entries of each one's :func:`_project`ed Gram P, a (6, S) array (the
-    :func:`_tetrahedron_map` of its squared edges).
+def _solid_tetrahedra(
+    p: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``(solid, factor)`` of a (6, S) stack of tetrahedra, given as the six
+    upper-triangle entries of each one's :func:`_project`ed Gram P (the
+    :func:`_tetrahedron_map` of its squared edges): the rows certified as
+    EDMs of rank 3, and the entries (l00, l10, l20, l11, l21, l22) of the
+    unpivoted Cholesky factor P = L L^T, NaN or inf from the first pivot at
+    or below zero on.
 
-    An unpivoted Cholesky of P - tI, with t = 2 rank_tol ||P||_F (the
-    :func:`_rank_cut` of ||P||_F, doubled), runs one column at a time over
-    the stack.  Cholesky is backward stable (N. J. Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 10), so where its three
-    pivots are positive every eigenvalue of P exceeds t less a rounding
-    error far below t / 2.  That clears rank_tol ||P||_F, at least the cut
-    rank_tol rho that :func:`_classify_stack` takes, as the spectral radius
-    rho is at most ||P||_F: such a tetrahedron is an EDM of rank 3.  An
-    uncertified one may still be; only it needs ``eigvalsh``.
+    A row is certified when its factor exists and
+    det P = (l00 l11 l22)^2 > 2 t ||P||_F^2, with t = rank_tol ||P||_F (the
+    :func:`_rank_cut` of ||P||_F): :func:`_flat_stack`'s bound
+    |det P| <= cut ||P||_F^(k-2) at k = 4.  L L^T is then positive definite
+    and each of its other two eigenvalues is at most ||P||_F, so its
+    smallest exceeds det P / ||P||_F^2 > 2t.  Cholesky is backward stable
+    (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 10.3): the computed L L^T is P plus an error of a few rounding
+    errors of ||P||_F, far below t (rank_tol is at least 1e-12), so the
+    smallest eigenvalue of P itself clears t, at least the cut rank_tol rho
+    that :func:`_classify_stack` takes, as the spectral radius rho is at most
+    ||P||_F.  Such a tetrahedron is an EDM of rank 3.  An uncertified one may
+    still be; only it needs ``eigvalsh``.
     """
     p00, p01, p02, p11, p12, p22 = p
     norm = np.sqrt(p00 * p00 + p11 * p11 + p22 * p22 + 2.0 * (p01 * p01 + p02 * p02 + p12 * p12))
-    t = 2.0 * _rank_cut(norm[:, None], tol)[0]
-    # A pivot at or below zero turns into NaN or inf, which no later
-    # pivot survives.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l00 = np.sqrt(p00 - t)
+    t = _rank_cut(norm[:, None], tol)[0]
+    # A pivot at or below zero turns into NaN or inf, which no later pivot
+    # survives, so the comparison fails.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        l00 = np.sqrt(p00)
         l10, l20 = p01 / l00, p02 / l00
-        l11 = np.sqrt(p11 - t - l10 * l10)
+        l11 = np.sqrt(p11 - l10 * l10)
         l21 = (p12 - l20 * l10) / l11
-        return p22 - t - l20 * l20 - l21 * l21 > 0.0
+        l22 = np.sqrt(p22 - l20 * l20 - l21 * l21)
+        solid = (l00 * l11 * l22) ** 2 > 2.0 * t * norm * norm
+    return solid, (l00, l10, l20, l11, l21, l22)
 
 
 def _factor_gram(

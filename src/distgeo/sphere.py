@@ -16,11 +16,11 @@ is the input itself, so the same scan says whether the input is realizable
 in 3-space and not planar; once the residual is finite at both bracket ends,
 a later grid also clusters points around the false-position estimate, so a
 smooth residual closes the bracket in a few scans.  A scan is one
-elementwise pass over the squared chords of its grid: it certifies the
-solid chord tetrahedra, nearly all of them, by a Cholesky factor of their
-shifted projected Gram matrices (``matrices._solid_tetrahedra``), and an
-unshifted Cholesky factor of the same matrices gives their circumradii;
-only the uncertified rest reach the eigensolver.
+elementwise pass over the squared chords of its grid: one Cholesky factor
+of each chord tetrahedron's projected Gram matrix
+(``matrices._solid_tetrahedra``) both certifies the solid ones, nearly all
+of them, by its determinant and gives their circumradii by a forward
+solve; only the uncertified rest reach the eigensolver.
 """
 
 from __future__ import annotations
@@ -230,52 +230,35 @@ def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
     return Circumsphere(float(scaled[3]), scaled[:3])
 
 
-def _cholesky_inverse_circumradii(p: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """1/R of each tetrahedron of a (6, S) stack, from the six entries of its
-    projected Gram P (:func:`~distgeo.matrices._tetrahedron_map`) and its
-    squared edges c2, both in one unit of length.
-
-    The circumcentre equation on the centred realization gives
-    R^2 = sum(c2) / 16 + u^T P^-1 u, with u the
-    :func:`~distgeo.matrices._circumcentre_map` of c2; an unpivoted Cholesky
-    P = L L^T gives u^T P^-1 u = |L^-1 u|^2.  Both terms are nonnegative, so
-    nothing cancels, and the form treats the four vertices alike.  Where P is
-    not positive definite a pivot turns into NaN or inf and so does the
-    value; only rows of rank 3 are read.
-    """
-    p00, p01, p02, p11, p12, p22 = p
-    u0, u1, u2 = _circumcentre_map().T @ c2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        l00 = np.sqrt(p00)
-        l10, l20 = p01 / l00, p02 / l00
-        l11 = np.sqrt(p11 - l10 * l10)
-        l21 = (p12 - l20 * l10) / l11
-        l22 = np.sqrt(p22 - l20 * l20 - l21 * l21)
-        y0 = u0 / l00
-        y1 = (u1 - l10 * y0) / l11
-        y2 = (u2 - l20 * y0 - l21 * y1) / l22
-        return 1.0 / np.sqrt(c2.sum(axis=0) / 16.0 + y0 * y0 + y1 * y1 + y2 * y2)
-
-
 def _inverse_circumradii(
     xs: np.ndarray, g: GeodesicTetrahedron, tol: Tolerances
 ) -> np.ndarray:
     """Inverse circumradius of the chord tetrahedron at each inverse radius in xs, in 1/a_max.
 
     NaN where the chord tetrahedron does not exist (not PSD), 0.0 where it
-    is planar (rank below 3), and otherwise the
-    :func:`_cholesky_inverse_circumradii` value.  One elementwise pass over
-    the squared chords, held as a (6, S) array in units of a_max, so the
-    residual neither over- nor underflows: one product gives each chord
-    tetrahedron's projected Gram P, rows that
-    :func:`~distgeo.matrices._solid_tetrahedra` certifies have rank 3
-    without an eigensolver, and only the others are classified by
-    ``_classify_stack``, one batched eigvalsh.
+    is planar (rank below 3).  One elementwise pass over the squared chords
+    c2, held as a (6, S) array in units of a_max, so the residual neither
+    over- nor underflows: one product gives each chord tetrahedron's
+    projected Gram P, and :func:`~distgeo.matrices._solid_tetrahedra`
+    factors it once, P = L L^T, and certifies the rows of rank 3 without an
+    eigensolver; only the others are classified by ``_classify_stack``, one
+    batched eigvalsh.
+
+    The circumcentre equation on the centred realization gives
+    R^2 = sum(c2) / 16 + u^T P^-1 u = sum(c2) / 16 + |L^-1 u|^2, with u the
+    :func:`~distgeo.matrices._circumcentre_map` of c2.  Both terms are
+    nonnegative, so nothing cancels, and the form treats the four vertices
+    alike.  Where P is not positive definite the factor, and so the value,
+    is NaN or inf; only rows of rank 3 read it.
     """
     c2 = _chords((g.a / g.a_max)[:, None], xs) ** 2
-    p = _tetrahedron_map().T @ c2
-    solid = _solid_tetrahedra(p, tol)
-    value = _cholesky_inverse_circumradii(p, c2)
+    solid, (l00, l10, l20, l11, l21, l22) = _solid_tetrahedra(_tetrahedron_map().T @ c2, tol)
+    u0, u1, u2 = _circumcentre_map().T @ c2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y0 = u0 / l00
+        y1 = (u1 - l10 * y0) / l11
+        y2 = (u2 - l20 * y0 - l21 * y1) / l22
+        value = 1.0 / np.sqrt(c2.sum(axis=0) / 16.0 + y0 * y0 + y1 * y1 + y2 * y2)
     out = np.where(solid, value, np.nan)
     rest = ~solid
     if rest.any():

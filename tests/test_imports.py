@@ -174,7 +174,7 @@ def test_no_decision_reads_a_determinant():
 def test_the_solid_certificate_serves_only_the_sphere_scan():
     # Chord tetrahedra are nearly always solid and subsets mostly are not,
     # so only the sphere's residual scan tries the Cholesky certificate
-    # before the eigensolver.
+    # before the eigensolver; the same factor gives the scan's radii.
     assert top_level_users("_solid_tetrahedra") == [("sphere.py", "_inverse_circumradii")]
 
 

@@ -489,8 +489,8 @@ def pair_matrices(c2):
 
 
 def certified(c2, tol):
-    """_solid_tetrahedra of an (S, 6) stack of squared edges."""
-    return _solid_tetrahedra(_tetrahedron_map().T @ c2.T, tol)
+    """The rows of an (S, 6) stack of squared edges that _solid_tetrahedra certifies."""
+    return _solid_tetrahedra(_tetrahedron_map().T @ c2.T, tol)[0]
 
 
 def tetrahedron_stack(rng, size):
@@ -536,15 +536,22 @@ class TestSolidTetrahedra:
         square = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
         stretched = np.array([1.0, 1.0, 1.0, 9.0, 1.0, 1.0])
         # a unit square's corner (1/2, 1/2) lifted by h: the projected Gram
-        # has eigenvalues 1, 0.375 and 3 h^2 / 4 = 1.5e-9, above the cut of
-        # 1e-9 but within the certificate's margin of twice it
-        thin = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, math.sqrt(2e-9)]])
-        thin_c2 = ((thin[EDGES[0]] - thin[EDGES[1]]) ** 2).sum(axis=-1)
-        c2 = np.array([regular, square, stretched, np.zeros(6), thin_c2])
-        assert certified(c2, Tolerances()).tolist() == [True, False, False, False, False]
+        # has eigenvalues 1, 0.375 and about 2 h^2 / 3.  At h^2 = 2e-9 that
+        # is 1.3e-9, above the cut of 1e-9, but the certificate asks for
+        # det P > 2 cut ||P||_F^2, that is lambda_3 > 6.5e-9.  At
+        # h^2 = 7.5e-10 it is 0.5e-9, inside the cut: the Gram is still
+        # positive definite, so its factor exists and only the determinant
+        # bound keeps the row uncertified.
+        def lifted(h2):
+            thin = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, math.sqrt(h2)]])
+            return ((thin[EDGES[0]] - thin[EDGES[1]]) ** 2).sum(axis=-1)
+
+        c2 = np.array([regular, square, stretched, np.zeros(6), lifted(2e-9), lifted(7.5e-10)])
+        assert certified(c2, Tolerances()).tolist() == [True, False, False, False, False, False]
+        assert np.isfinite(_solid_tetrahedra(_tetrahedron_map().T @ c2[-1:].T, Tolerances())[1]).all()
         rank, is_edm = _classify_stack(pair_matrices(c2), Tolerances())
-        assert is_edm.tolist() == [True, True, False, True, True]
-        assert rank[[0, 1, 3, 4]].tolist() == [3, 2, 0, 3]
+        assert is_edm.tolist() == [True, True, False, True, True, True]
+        assert rank[[0, 1, 3, 4, 5]].tolist() == [3, 2, 0, 3, 2]
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(-12, -3))

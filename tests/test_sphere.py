@@ -516,12 +516,18 @@ class TestRefinementWork:
         assert math.isfinite(emb.radius)
 
 
+def uncertified(p, tol):
+    """_solid_tetrahedra with no row certified: its factor, and every row
+    left to the eigensolver."""
+    solid, factor = _solid_tetrahedra(p, tol)
+    return np.zeros_like(solid), factor
+
+
 def classified_inverse_circumradii(xs, g, tol):
     """_inverse_circumradii with every row classified by _classify_stack."""
-    c2 = sphere._chords((g.a / g.a_max)[:, None], xs) ** 2
-    rank, is_psd = _classify_stack(sphere._pair_matrices(c2.T), tol)
-    value = sphere._cholesky_inverse_circumradii(_tetrahedron_map().T @ c2, c2)
-    return np.where(is_psd, np.where(rank == 3, value, 0.0), np.nan)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sphere, "_solid_tetrahedra", uncertified)
+        return sphere._inverse_circumradii(xs, g, tol)
 
 
 def outcome(g):
@@ -579,8 +585,30 @@ class TestSolidCertificate:
         cases = make()
         want = [outcome(g) for g in cases]
         assert sum(isinstance(o, SphericalEmbedding) for o in want) >= least
-        monkeypatch.setattr(sphere, "_solid_tetrahedra", lambda p, tol: np.zeros(p.shape[1], dtype=bool))
+        monkeypatch.setattr(sphere, "_solid_tetrahedra", uncertified)
         assert [outcome(g) for g in cases] == want
+
+    def test_no_scan_row_of_an_embedding_reaches_the_eigensolver(self, monkeypatch):
+        # Caps over the benchmark's angular radii: every chord tetrahedron a
+        # solve scans is certified, so the one _classify_stack call of an
+        # embedding is the final circumradius's rank test, on one 4x4
+        # matrix.  Inputs that are not realizable send their rows without a
+        # chord tetrahedron there too; no certificate speaks for those.
+        shapes = []
+        classify = sphere._classify_stack
+
+        def counting(d2, tol):
+            shapes.append(d2.shape)
+            return classify(d2, tol)
+
+        monkeypatch.setattr(sphere, "_classify_stack", counting)
+        embedded = 0
+        for g in caps(46, 0.3, 1.2):
+            shapes.clear()
+            if isinstance(outcome(g), SphericalEmbedding):
+                embedded += 1
+                assert shapes == [(4, 4)]
+        assert embedded >= 5
 
     def test_no_rank_3_row_near_the_cut_is_lost(self):
         # Tetrahedra of thickness about 1e-6 at the smallest rank_tol: their
@@ -596,7 +624,7 @@ class TestSolidCertificate:
             c2 = sphere._chords((g.a / g.a_max)[:, None], xs) ** 2
             rank, is_psd = _classify_stack(sphere._pair_matrices(c2.T), tol)
             solid = is_psd & (rank == 3)
-            near += (solid & ~_solid_tetrahedra(_tetrahedron_map().T @ c2, tol)).sum()
+            near += (solid & ~_solid_tetrahedra(_tetrahedron_map().T @ c2, tol)[0]).sum()
             got = sphere._inverse_circumradii(xs, g, tol)
             assert (got[solid] > 0).all() and np.isfinite(got[solid]).all()
         assert near >= 20
