@@ -6,9 +6,10 @@ for a trial inverse radius x and compares the chord tetrahedron's inverse
 circumradius with x; the sphere that works is a fixed point.  The inverse
 circumradius comes from the chord lengths alone, by the circumcentre
 equation on the centred tetrahedron, R^2 = sum(c^2) / 16 + u^T P^-1 u with
-P its Gram matrix (a Cholesky factor gives P^-1 u), so only the final
-sphere is realized as points.  This script tabulates the residual, then
-solves it.
+P = L L^T its Gram matrix (the Cholesky factor gives the circumcentre
+y = L^-1 u), and the same factor gives the answer's points: the vertices
+R L of the tetrahedron, R the Helmert basis, less y.  No eigensolver or
+linear solve runs.  This script tabulates the residual, then solves it.
 """
 
 import math
@@ -41,7 +42,7 @@ def main():
     emb = embed_on_sphere(g)
     print(f"\nfixed point found: radius={emb.radius:.12f}")
     print("points on the sphere:")
-    print(np.round(emb.points, 6))
+    print(np.round(emb.points, 6) + 0.0)  # + 0.0 shows -0.0 as 0.0
     print("realized geodesics:", np.round(emb.geodesics, 6))
 
     # a generic non-planar input: distances of four random points

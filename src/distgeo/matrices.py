@@ -532,6 +532,19 @@ def _circumcentre_map() -> np.ndarray:
     return m
 
 
+def _factor_vertices(factor) -> np.ndarray:
+    """(4, 3) vertices R L of one tetrahedron, centred on its barycentre,
+    from the entries (l00, l10, l20, l11, l21, l22) of the Cholesky factor
+    P = L L^T of its :func:`_project`ed Gram, as :func:`_solid_tetrahedra`
+    gives them, with R the :func:`_helmert` basis.
+
+    Their Gram R P R^T is the centred Gram, so their distances are the
+    tetrahedron's edges, and R^T (R L) = L: in this frame Z = L, and the
+    circumcentre of :func:`_circumcentre_map` is L^-1 u."""
+    l00, l10, l20, l11, l21, l22 = factor
+    return _helmert(4)[1] @ np.array([[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]])
+
+
 def _solid_tetrahedra(
     p: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

@@ -17,10 +17,14 @@ in 3-space and not planar; once the residual is finite at both bracket ends,
 a later grid also clusters points around the false-position estimate, so a
 smooth residual closes the bracket in a few scans.  A scan is one
 elementwise pass over the squared chords of its grid: one Cholesky factor
-of each chord tetrahedron's projected Gram matrix
+P = L L^T of each chord tetrahedron's projected Gram matrix
 (``matrices._solid_tetrahedra``) both certifies the solid ones, nearly all
-of them, by its determinant and gives their circumradii by a forward
-solve; only the uncertified rest reach the eigensolver.
+of them, by its determinant and gives their circumcentres and radii by a
+forward solve; only the uncertified rest reach the eigensolver.  The
+answer is read off the same kernel at the final inverse radius: the
+vertices R L of the chord tetrahedron (R the Helmert basis), less its
+circumcentre, are the points on the sphere, so a solve runs no
+eigendecomposition and no linear solve after the scan.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .matrices import (
     _circumcentre_map,
     _classify_stack,
     _factor_gram,
+    _factor_vertices,
     _in_units,
     _readonly,
     _solid_tetrahedra,
@@ -152,8 +157,11 @@ def _pair_matrices(values: np.ndarray) -> np.ndarray:
 
 
 def _chords(alpha, x):
-    """(2/x) sin(alpha x / 2), broadcasting; sinc makes x = 0 give alpha."""
-    return alpha * np.sinc(alpha * x / (2.0 * math.pi))
+    """(2/x) sin(alpha x / 2) = alpha sin(t) / t with t = alpha x / 2,
+    broadcasting; t = 0 gives alpha.  sin(t) / t is exactly 1 for tiny t, so
+    subnormal t is exact too."""
+    t = np.multiply(alpha, x) * 0.5
+    return alpha * np.divide(np.sin(t), t, out=np.ones_like(t), where=t != 0.0)
 
 
 def chord_length(alpha: float, x: float) -> float:
@@ -172,17 +180,6 @@ def chord_length(alpha: float, x: float) -> float:
     return float(_chords(alpha, x))
 
 
-def _realize_chords(c: np.ndarray, tol: Tolerances) -> Realization:
-    """Realize six chord lengths as 4 points in R^3."""
-    unit, dec = DistanceMatrix(_pair_matrices(c))._spectrum
-    _, verdict, columns = _factor_gram(dec, tol)
-    if not verdict.is_psd:
-        raise NotRealizableError(verdict.min_eigenvalue * unit * unit)
-    coords = np.zeros((4, 3))
-    coords[:, : verdict.rank] = columns * unit
-    return Realization(coords)
-
-
 def tetrahedron_from_chords(c, tol: Tolerances | None = None) -> Realization:
     """Four points in R^3 whose distances are the six given chord lengths.
 
@@ -194,7 +191,13 @@ def tetrahedron_from_chords(c, tol: Tolerances | None = None) -> Realization:
     c = np.asarray(c, dtype=float)
     if c.shape != (6,):
         raise ValueError(f"expected 6 chord lengths, got shape {c.shape}")
-    return _realize_chords(c, tol)
+    unit, dec = DistanceMatrix(_pair_matrices(c))._spectrum
+    _, verdict, columns = _factor_gram(dec, tol)
+    if not verdict.is_psd:
+        raise NotRealizableError(verdict.min_eigenvalue * unit * unit)
+    coords = np.zeros((4, 3))
+    coords[:, : verdict.rank] = columns * unit
+    return Realization(coords)
 
 
 def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
@@ -230,29 +233,34 @@ def circumradius(t: Realization, tol: Tolerances | None = None) -> Circumsphere:
     return Circumsphere(float(scaled[3]), scaled[:3])
 
 
-def _inverse_circumradii(
-    xs: np.ndarray, g: GeodesicTetrahedron, tol: Tolerances
-) -> np.ndarray:
-    """Inverse circumradius of the chord tetrahedron at each inverse radius in xs, in 1/a_max.
+def _circumspheres(xs: np.ndarray, g: GeodesicTetrahedron, tol: Tolerances):
+    """``(value, factor, centre)`` of the chord tetrahedron at each inverse
+    radius in xs, each an array over xs: its inverse circumradius, in
+    1/a_max; the entries (l00, l10, l20, l11, l21, l22) of the Cholesky
+    factor P = L L^T of its projected Gram; and its circumcentre
+    y = L^-1 u as (y0, y1, y2), both in units of a_max.
 
-    NaN where the chord tetrahedron does not exist (not PSD), 0.0 where it
-    is planar (rank below 3).  One elementwise pass over the squared chords
-    c2, held as a (6, S) array in units of a_max, so the residual neither
-    over- nor underflows: one product gives each chord tetrahedron's
+    The value is NaN where the chord tetrahedron does not exist (not PSD)
+    and 0.0 where it is planar (rank below 3).  One elementwise pass over
+    the squared chords c2, held as a (6, S) array in units of a_max, so
+    nothing over- or underflows: one product gives each chord tetrahedron's
     projected Gram P, and :func:`~distgeo.matrices._solid_tetrahedra`
-    factors it once, P = L L^T, and certifies the rows of rank 3 without an
+    factors it once and certifies the rows of rank 3 without an
     eigensolver; only the others are classified by ``_classify_stack``, one
     batched eigvalsh.
 
-    The circumcentre equation on the centred realization gives
-    R^2 = sum(c2) / 16 + u^T P^-1 u = sum(c2) / 16 + |L^-1 u|^2, with u the
-    :func:`~distgeo.matrices._circumcentre_map` of c2.  Both terms are
-    nonnegative, so nothing cancels, and the form treats the four vertices
-    alike.  Where P is not positive definite the factor, and so the value,
-    is NaN or inf; only rows of rank 3 read it.
+    The rows of R L (:func:`~distgeo.matrices._factor_vertices`) are the
+    chord tetrahedron's vertices about their barycentre; in their frame the
+    circumcentre equation reads L y = u, with u the
+    :func:`~distgeo.matrices._circumcentre_map` of c2, and
+    R^2 = sum(c2) / 16 + |y|^2.  Both terms are nonnegative, so nothing
+    cancels, and the form treats the four vertices alike.  Where P is not
+    positive definite the factor, and so the centre and the value, is NaN
+    or inf; only rows of rank 3 read them.
     """
     c2 = _chords((g.a / g.a_max)[:, None], xs) ** 2
-    solid, (l00, l10, l20, l11, l21, l22) = _solid_tetrahedra(_tetrahedron_map().T @ c2, tol)
+    solid, factor = _solid_tetrahedra(_tetrahedron_map().T @ c2, tol)
+    l00, l10, l20, l11, l21, l22 = factor
     u0, u1, u2 = _circumcentre_map().T @ c2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y0 = u0 / l00
@@ -264,7 +272,16 @@ def _inverse_circumradii(
     if rest.any():
         rank, is_psd = _classify_stack(_pair_matrices(c2[:, rest].T), tol)
         out[rest] = np.where(is_psd, np.where(rank == 3, value[rest], 0.0), np.nan)
-    return out
+    return out, factor, (y0, y1, y2)
+
+
+def _inverse_circumradii(
+    xs: np.ndarray, g: GeodesicTetrahedron, tol: Tolerances
+) -> np.ndarray:
+    """Inverse circumradius of the chord tetrahedron at each inverse radius
+    in xs, in 1/a_max: the value of :func:`_circumspheres`, the residual
+    scan's one call."""
+    return _circumspheres(xs, g, tol)[0]
 
 
 def inverse_circumradius(
@@ -315,9 +332,27 @@ def _scan_grid(lo: float, hi: float, r_lo: float, r_hi: float) -> np.ndarray:
 
 
 def _realized_geodesics(points: np.ndarray, radius: float) -> np.ndarray:
-    p, q = points[_ROWS], points[_COLS]
-    cross = np.linalg.norm(np.cross(p, q), axis=1)
-    return radius * np.arctan2(cross, (p * q).sum(axis=1))
+    """radius times the angle between each pair of points, in VERTEX_PAIRS
+    order, from the norm of their cross product (written out: np.cross
+    costs more than the rest together) and their dot product."""
+    (p0, p1, p2), (q0, q1, q2) = points[_ROWS].T, points[_COLS].T
+    cross = np.sqrt((p1 * q2 - p2 * q1) ** 2 + (p2 * q0 - p0 * q2) ** 2 + (p0 * q1 - p1 * q0) ** 2)
+    return radius * np.arctan2(cross, p0 * q0 + p1 * q1 + p2 * q2)
+
+
+def _lengths(values, a_max: float, quantity: str):
+    """Lengths given in units of a_max, scaled back: multiplied by
+    a_max / unit in [1, 2), then shifted by unit = _unit(a_max).  From
+    unit 1 up the shift goes through the loss check, so a length past the
+    top of the float range raises FloatRangeError naming ``quantity``;
+    below it no length overflows, and one that lands below the normal range
+    keeps the bits it has, as subnormal input lengths do.  Bit for bit
+    values * a_max wherever that is a normal float."""
+    unit = _unit(a_max)
+    values = values * (a_max / unit)
+    if unit < 1.0:
+        return values * unit
+    return _in_units(values, unit, 1, quantity)
 
 
 def embed_on_sphere(
@@ -338,10 +373,15 @@ def embed_on_sphere(
     planarity verdict; while the residual is finite at both ends, a later
     scan also clusters points around the false-position estimate of the
     root, else it stays uniform.  Of several fixed points the smallest is
-    returned, i.e. the sphere closest to the flat configuration.  The scan
-    and the realization work in units of the longest geodesic, so the
-    answer scales with the input over the whole float range, subnormal
-    lengths included.
+    returned, i.e. the sphere closest to the flat configuration.  The
+    sphere is read off the scan's kernel at the final inverse radius y: the
+    chord tetrahedron's vertices from the Cholesky factor of its projected
+    Gram, less its circumcentre, scaled to the radius 1/phi(y); the points
+    come out in that factor's frame.  A final chord tetrahedron that is not
+    solid raises NoConvergenceError.  The scan and the sphere are computed
+    in units of the longest geodesic, so the answer scales with the input
+    over the whole float range, subnormal lengths included; a radius or
+    point coordinate too large for a float raises FloatRangeError.
     """
     tol = tol or DEFAULT_TOLERANCES
     a_max = g.a_max
@@ -383,11 +423,13 @@ def embed_on_sphere(
         )
 
     y = lo if lo > 0.0 else hi
-    tetra = _realize_chords(_chords(unit, y), tol)
-    sphere = circumradius(tetra, tol)
-    if not sphere.is_finite:
+    value, factor, centre = _circumspheres(np.array([y]), g, tol)
+    if not value[0] > 0.0:
         raise NoConvergenceError("fixed-point refinement landed on a planar tetrahedron")
-    points = tetra.coords - sphere.center
-    points = points * (sphere.radius / np.linalg.norm(points, axis=1))[:, None]
-    geodesics = _realized_geodesics(points, sphere.radius)
-    return SphericalEmbedding(sphere.radius * a_max, points * a_max, geodesics * a_max)
+    radius = 1.0 / float(value[0])
+    points = _factor_vertices([entry[0] for entry in factor]) - [entry[0] for entry in centre]
+    points *= (radius / np.linalg.norm(points, axis=1))[:, None]
+    # one loss check for the radius, the geodesics and the points together
+    lengths = np.concatenate([[radius], _realized_geodesics(points, radius), points.ravel()])
+    lengths = _lengths(lengths, a_max, "sphere")
+    return SphericalEmbedding(float(lengths[0]), lengths[7:].reshape(4, 3), lengths[1:7])

@@ -36,7 +36,7 @@ from distgeo.simplex import (
     heron_area,
     simplex_volume,
 )
-from distgeo.sphere import GeodesicTetrahedron, circumradius, inverse_circumradius
+from distgeo.sphere import GeodesicTetrahedron, circumradius, embed_on_sphere, inverse_circumradius
 
 REGULAR_GEODESIC = 2 * math.asin(math.sqrt(2 / 3))
 TETRAHEDRON = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
@@ -81,6 +81,16 @@ def inverse_radius_query(rng, s):
     return float(rng.uniform(0.0, 1.0)) * math.pi / g.a_max, g
 
 
+def cap_geodesics(rng, s):
+    """Geodesics of four points in a random cap of the sphere of radius s."""
+    z = rng.uniform(math.cos(rng.uniform(0.3, 1.2)), 1.0, 4)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 4)
+    rho = np.sqrt(1.0 - z * z)
+    v = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    return (GeodesicTetrahedron(s * np.array([math.acos(min(1.0, v[i] @ v[j])) for i, j in pairs])),)
+
+
 def tetrahedron(rng):
     """A well-shaped tetrahedron: a jittered regular one, rotated and moved,
     with largest coordinate 1."""
@@ -122,6 +132,7 @@ CALLS = {
     "trilaterate": (trilaterate, lambda rng, s: (trilateration(rng, s),)),
     "inverse_circumradius": (inverse_circumradius, inverse_radius_query),
     "circumradius": (circumradius, lambda rng, s: (Realization(tetrahedron(rng) * s),)),
+    "embed_on_sphere": (embed_on_sphere, cap_geodesics),
 }
 
 exponents = st.one_of(st.sampled_from([-307, 307]), st.integers(-307, 307))
@@ -162,6 +173,44 @@ def test_circumradius_past_the_top_of_the_float_range_raises():
     p = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 1e-3]]) * 1e306
     with pytest.raises(FloatRangeError, match=r"^circumsphere of about 10\^308\.3 "):
         circumradius(Realization(p))
+
+
+def test_sphere_radius_past_the_top_of_the_float_range_raises():
+    # four random points in a cap of angular radius 0.3, their longest
+    # geodesic scaled to 1e308: the sphere's radius is about 2e308
+    g = GeodesicTetrahedron(
+        [
+            4.1239549511293935e307,
+            5.178670307639089e307,
+            6.362400225715431e307,
+            8.794014476704947e307,
+            7.987036171091504e307,
+            1e308,
+        ]
+    )
+    with pytest.raises(FloatRangeError, match=r"^sphere of about 10\^308\.3 "):
+        embed_on_sphere(g)
+
+
+def test_sphere_near_the_top_of_the_float_range():
+    # the same cap shrunk by half: the radius, about 1e308, still fits
+    g = GeodesicTetrahedron(
+        0.5
+        * np.array(
+            [
+                4.1239549511293935e307,
+                5.178670307639089e307,
+                6.362400225715431e307,
+                8.794014476704947e307,
+                7.987036171091504e307,
+                1e308,
+            ]
+        )
+    )
+    emb = embed_on_sphere(g)
+    assert emb.radius == pytest.approx(1.0e308, rel=0.1)
+    np.testing.assert_allclose(np.linalg.norm(emb.points / emb.radius, axis=1), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(emb.geodesics, g.a, rtol=1e-12)
 
 
 def test_circumradius_centre_residue_below_the_float_range_is_zero():

@@ -174,14 +174,16 @@ def test_no_decision_reads_a_determinant():
 def test_the_solid_certificate_serves_only_the_sphere_scan():
     # Chord tetrahedra are nearly always solid and subsets mostly are not,
     # so only the sphere's residual scan tries the Cholesky certificate
-    # before the eigensolver; the same factor gives the scan's radii.
-    assert top_level_users("_solid_tetrahedra") == [("sphere.py", "_inverse_circumradii")]
+    # before the eigensolver; the same factor gives the scan's radii and
+    # the final sphere's centre and points.
+    assert top_level_users("_solid_tetrahedra") == [("sphere.py", "_circumspheres")]
 
 
 def test_only_the_final_circumsphere_solves_a_linear_system():
-    # The residual scan reads each chord tetrahedron's radius off a Cholesky
-    # factor of its projected Gram, so the one np.linalg.solve is the final
-    # circumradius's, once per embedding.
+    # The sphere kernel reads each chord tetrahedron's radius, centre and
+    # vertices off a Cholesky factor of its projected Gram, so an embedding
+    # solves no linear system; the one np.linalg.solve is that of the public
+    # circumradius of four given points.
     assert top_level_users("solve") == [("sphere.py", "circumradius")]
 
 

@@ -29,7 +29,7 @@ from distgeo.matrices import (
     _solid_tetrahedra,
     _tetrahedron_map,
 )
-from distgeo import sphere
+from distgeo import matrices, sphere
 from distgeo.sphere import (
     SCAN_POINTS,
     VERTEX_PAIRS,
@@ -420,20 +420,28 @@ class TestRefinementWork:
 
     def test_input_is_realized_once_after_the_scan(self, monkeypatch):
         # the first scan's residual at x = 0 says whether the input is
-        # realizable and not planar, so the only realization is the final one
+        # realizable and not planar, and the final sphere's points come off
+        # the Cholesky factor of one more kernel call, so a solved query runs
+        # no eigendecomposition at all
         events = []
-        residual, realize = sphere._inverse_circumradii, sphere._realize_chords
+        residual, kernel = sphere._inverse_circumradii, sphere._circumspheres
+        decompose = matrices.symmetric_eigendecomposition
 
         def scanning(xs, g, tol):
             events.append("scan")
             return residual(xs, g, tol)
 
-        def realizing(c, tol):
-            events.append("realize")
-            return realize(c, tol)
+        def realizing(xs, g, tol):
+            events.append("kernel")
+            return kernel(xs, g, tol)
+
+        def decomposing(a):
+            events.append("eigh")
+            return decompose(a)
 
         monkeypatch.setattr(sphere, "_inverse_circumradii", scanning)
-        monkeypatch.setattr(sphere, "_realize_chords", realizing)
+        monkeypatch.setattr(sphere, "_circumspheres", realizing)
+        monkeypatch.setattr(matrices, "symmetric_eigendecomposition", decomposing)
         rng = np.random.default_rng(45)
         solved = refused = 0
         for _ in range(50):
@@ -442,22 +450,25 @@ class TestRefinementWork:
                 embed_on_sphere(GeodesicTetrahedron(random_cap_geodesics(rng)))
             except NotApplicableError:
                 refused += 1
-                assert events == ["scan"]
+                assert events[:2] == ["scan", "kernel"]
+                assert events.count("scan") == 1
                 continue
             solved += 1
+            assert "eigh" not in events
             assert events[0] == "scan"
-            assert events[-1] == "realize"
-            assert events.count("realize") == 1
+            assert events[-2:] == ["kernel", "kernel"]
+            assert events.count("kernel") == events.count("scan") + 1
         assert solved >= 15 and refused >= 1
         # taking x = 0 into the first scan adds no call: the 19 solved draws
-        # take 102 stacked calls.  Near the root the residual is a few
+        # take 101 stacked calls.  Near the root the residual is a few
         # rounding errors, so where its last sign change falls, and whether
         # one more scan is needed, moves with the last bits of the residual
         # kernel: 8 of these draws take one call more or fewer than with
-        # the anchored-Gram solve, which took 100.
+        # the anchored-Gram solve, which took 100, and one takes a call
+        # fewer with chords from sin(t) / t than from np.sinc, which took 102.
         monkeypatch.setattr(sphere, "_inverse_circumradii", residual)
         counts = stacked_calls_per_query(monkeypatch)
-        assert (len(counts), sum(counts)) == (19, 102)
+        assert (len(counts), sum(counts)) == (19, 101)
 
     def test_secant_scans_cut_the_calls(self, monkeypatch):
         # uniform scans alone gain about 6 bits each and take 9 to 10 calls
@@ -590,10 +601,10 @@ class TestSolidCertificate:
 
     def test_no_scan_row_of_an_embedding_reaches_the_eigensolver(self, monkeypatch):
         # Caps over the benchmark's angular radii: every chord tetrahedron a
-        # solve scans is certified, so the one _classify_stack call of an
-        # embedding is the final circumradius's rank test, on one 4x4
-        # matrix.  Inputs that are not realizable send their rows without a
-        # chord tetrahedron there too; no certificate speaks for those.
+        # solve scans is certified, and so is the final one, whose factor
+        # gives the points, so an embedding makes no _classify_stack call.
+        # Inputs that are not realizable send their rows without a chord
+        # tetrahedron there; no certificate speaks for those.
         shapes = []
         classify = sphere._classify_stack
 
@@ -607,7 +618,7 @@ class TestSolidCertificate:
             shapes.clear()
             if isinstance(outcome(g), SphericalEmbedding):
                 embedded += 1
-                assert shapes == [(4, 4)]
+                assert shapes == []
         assert embedded >= 5
 
     def test_no_rank_3_row_near_the_cut_is_lost(self):
@@ -628,6 +639,78 @@ class TestSolidCertificate:
             got = sphere._inverse_circumradii(xs, g, tol)
             assert (got[solid] > 0).all() and np.isfinite(got[solid]).all()
         assert near >= 20
+
+
+def final_inverse_radius(g):
+    """embed_on_sphere's outcome and the inverse radius y, in 1/a_max, at
+    which it read the final sphere off the kernel (None when it raised)."""
+    seen = []
+    kernel = sphere._circumspheres
+
+    def recording(xs, g, tol):
+        seen.append(xs.copy())
+        return kernel(xs, g, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sphere, "_circumspheres", recording)
+        result = outcome(g)
+    return result, (float(seen[-1][0]) if isinstance(result, SphericalEmbedding) else None)
+
+
+class TestFinalSphere:
+    """The embedding is read off the kernel's Cholesky factor at the final
+    inverse radius y; realizing the chord tetrahedron at the same y and
+    solving for its circumsphere (tetrahedron_from_chords, circumradius)
+    must give the same sphere.
+
+    Both evaluate the same chords, so they agree to within rounding errors
+    amplified by the chord tetrahedron's conditioning kappa, the ratio of
+    the largest to the smallest eigenvalue of its centred Gram: 1e-12
+    relative, or 4 eps kappa where that is larger (thin caps and needles;
+    on these inputs the two differ by at most about 0.7 eps kappa)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            fixture_geodesics,
+            lambda: caps(49, 0.005, 1.2),
+            lambda: [
+                GeodesicTetrahedron(geodesics_of(NEEDLE * [1.0, t / 1e-3, t / 1e-3]))
+                for t in (1e-2, 1e-3, 1e-4)
+            ],
+        ],
+        ids=["fixtures", "caps", "needles"],
+    )
+    def test_matches_the_realized_circumsphere(self, make):
+        solved = 0
+        for g in make():
+            emb, y = final_inverse_radius(g)
+            if not isinstance(emb, SphericalEmbedding):
+                continue
+            solved += 1
+            chords = np.array([chord_length(alpha, y / g.a_max) for alpha in g.a])
+            tetra = tetrahedron_from_chords(chords)
+            spread = np.linalg.svd(tetra.coords - tetra.coords.mean(axis=0), compute_uv=False)
+            bound = max(1e-12, 4 * np.finfo(float).eps * (spread[0] / spread[2]) ** 2)
+            assert emb.radius == pytest.approx(circumradius(tetra).radius, rel=bound)
+            np.testing.assert_allclose(emb.geodesics, g.a, rtol=bound)
+            np.testing.assert_allclose(np.linalg.norm(emb.points, axis=1), emb.radius, rtol=1e-14)
+            np.testing.assert_allclose(geodesics_of(emb.points), chords, rtol=bound)
+            x = 1.0 / emb.radius
+            assert inverse_circumradius(x, g) == pytest.approx(x, rel=bound)
+        assert solved >= 3
+
+    @pytest.mark.parametrize("value", [0.0, math.nan], ids=["planar", "no-tetrahedron"])
+    def test_a_final_value_that_is_not_positive_raises(self, monkeypatch, value):
+        # the scan closes on the root 1 of a synthetic residual; the kernel
+        # at that inverse radius then reports no solid chord tetrahedron
+        kernel = sphere._circumspheres
+        monkeypatch.setattr(sphere, "_inverse_circumradii", lambda xs, g, tol: 2.0 - xs)
+        monkeypatch.setattr(
+            sphere, "_circumspheres", lambda xs, g, tol: (np.full(xs.shape, value),) + kernel(xs, g, tol)[1:]
+        )
+        with pytest.raises(NoConvergenceError, match="^fixed-point refinement landed on a planar tetrahedron$"):
+            embed_on_sphere(GeodesicTetrahedron(np.full(6, REGULAR_GEODESIC)))
 
 
 def mp_inverse_circumradius(a, x):
