@@ -18,9 +18,9 @@ from .matrices import (
     DistanceMatrix,
     Realization,
     Tolerances,
+    _distances_in,
     _factor_gram,
     _in_units,
-    _pairwise_distances,
     _readonly,
     _unit_squares,
     _ValueRecord,
@@ -144,7 +144,7 @@ def classical_mds(
     unit, dec = D._spectrum
     cut, _, coords = _factor_gram(dec, tol)
     coords = coords[:, :dim_cap]
-    residual = _max_relative_distance_error(_pairwise_distances(coords), D.d / unit)
+    residual = _max_relative_distance_error(_distances_in(coords, 1.0), D.d / unit)
     w = _in_units(dec.eigenvalues, unit, 2, "eigenvalue", residue=np.abs(dec.eigenvalues) <= cut)
     return MdsResult(Realization(coords * unit), w, coords.shape[1], residual)
 

@@ -4,11 +4,12 @@ Distance and Gram matrix types, double centering, the symmetric
 eigendecomposition (LAPACK ``eigh``), positive-semidefiniteness tests, and
 the conversions between Gram matrices and point realizations that underpin
 classical multidimensional scaling.  Every rank cut in the toolkit is taken
-here, by :func:`_rank_cut`, relative to the spectral radius of the Gram
-matrix; it returns the cut with the rank, and :func:`_factor_gram` hands
-that cut to its callers.  Every determinant of a distance matrix is taken
-here too.  Flatness is a rank question: a subset is flat when its
-projected Gram has an eigenvalue within the cut.
+here, by :func:`_cut`, relative to the spectral radius of the Gram matrix
+(or a bound on it); :func:`_rank_cut` returns the cut of spectra with
+their rank, and :func:`_factor_gram` hands that cut to its callers.  Every
+determinant of a distance matrix is taken here too.  Flatness is a rank
+question: a subset is flat when its projected Gram has an eigenvalue
+within the cut.
 
 The float-range rules live here, once each.  :func:`_unit` is the one unit
 of length, the largest power of two not above the largest entry, so
@@ -16,8 +17,13 @@ scaling by it is exact; lengths are squared (:func:`_unit_squares`),
 centered and multiplied in that unit.  :func:`_in_units` is the one loss
 check: it scales a result back by one shift of the binary exponent and
 raises FloatRangeError when it overflows or a nonzero value lands below
-the smallest normal float, which is read once, at import.
-:func:`_from_log` is built on it, for a value held as a sign and a log.
+the smallest normal float, which is read once, at import.  When the
+largest and the smallest magnitude show that nothing is lost, the shift
+is its whole cost.  :func:`_from_log` is built on it, for a value held as
+a sign and a log.  :func:`_distances_in` is the one distance kernel,
+summing squares in a given unit; :func:`_pairwise_distances` picks that
+unit from the points' extent, and classical MDS, whose coordinates are
+already in units, passes 1.
 
 All values are immutable after construction (backing arrays are read-only)
 and every operation is a pure function of its inputs.
@@ -140,17 +146,19 @@ class DistanceMatrix(_ValueRecord):
         d = np.asarray(self.d, dtype=float) + 0.0
         if d.ndim != 2 or not 0 < d.shape[0] == d.shape[1]:
             raise NonSquareError(d.shape)
-        _require_finite(d, "matrix")
-        # Each error names the worst offender; halves keep the skew finite.
-        if not np.array_equal(d, d.T):
-            half = 0.5 * d
-            i, j = np.unravel_index(int(np.argmax(np.abs(half - half.T))), d.shape)
-            raise AsymmetricMatrixError((int(i), int(j)), abs(float(d[i, j]) - float(d[j, i])))
-        diag = np.diag(d)
-        if np.any(diag != 0.0):
-            i = int(np.argmax(np.abs(diag)))
-            raise NonzeroDiagonalError(i, diag[i])
-        if np.any(d < 0.0):
+        # One cheap pass admits clean input.  The ordered checks run only
+        # when it fails, so they alone decide which error is raised.
+        if not (d.min() >= 0.0 and d.max() < math.inf and not d.diagonal().any() and (d == d.T).all()):
+            _require_finite(d, "matrix")
+            # Each error names the worst offender; halves keep the skew finite.
+            if not np.array_equal(d, d.T):
+                half = 0.5 * d
+                i, j = np.unravel_index(int(np.argmax(np.abs(half - half.T))), d.shape)
+                raise AsymmetricMatrixError((int(i), int(j)), abs(float(d[i, j]) - float(d[j, i])))
+            diag = np.diag(d)
+            if np.any(diag != 0.0):
+                i = int(np.argmax(np.abs(diag)))
+                raise NonzeroDiagonalError(i, diag[i])
             i, j = np.unravel_index(int(np.argmin(d)), d.shape)
             raise NegativeEntryError((int(i), int(j)), d[i, j])
         d.setflags(write=False)
@@ -339,10 +347,22 @@ def _in_units(value, unit: float, power: int, quantity: str, residue=False, offs
     bits.  A lost result where ``residue`` is true (rounding residue, such
     as an eigenvalue within the rank cut) comes back as 0.0; any other
     raises FloatRangeError, naming the quantity and the largest magnitude
-    lost.  This loss check, not the shift, is the function's cost.
+    lost.  Two reductions settle that none is lost when the logarithms of
+    the largest and the smallest magnitude, shifted, lie inside the normal
+    range (its ends are integers, so a log2 rounded either way never
+    admits a lost value); then the shift is the whole cost.  Only what
+    they leave open takes the full elementwise check: a result lost or
+    within rounding of either end of the range, a zero among nonzero
+    values, a NaN or an inf.
     """
+    shift = offset + power * int(math.log2(unit))
+    size = np.abs(value)
+    top, low = float(size.max()), float(size.min())
+    if top == 0.0 or 0.0 < low and math.log2(low) + shift > -1022 and math.log2(top) + shift < 1024:
+        out = np.ldexp(value, shift)
+        return out if out.ndim else float(out)
     with np.errstate(over="ignore"):
-        out = np.ldexp(value, offset + power * int(math.log2(unit)))
+        out = np.ldexp(value, shift)
     lost = np.isinf(out) | ((np.abs(out) < _TINY) & (value != 0.0))
     zeroed = lost & residue
     if np.any(zeroed):
@@ -419,18 +439,32 @@ def symmetric_eigendecomposition(g: GramMatrix | np.ndarray) -> SpectralDecompos
     if np.isinf(w).any():
         top = np.abs(np.linalg.eigvalsh(np.ldexp(a, -1023))).max()
         raise FloatRangeError("eigenvalue", math.log10(top) + 1023 * math.log10(2.0))
+    # The stable sort keeps tied eigenvalues in eigh's column order.  The
+    # sorted arrays are fresh and in order, so the record takes them as they
+    # are, without the constructor's copies and order check.
     order = np.argsort(-w, kind="stable")
-    return SpectralDecomposition(w[order], v[:, order])
+    w, v = w[order], v[:, order]
+    w.setflags(write=False)
+    v.setflags(write=False)
+    dec = object.__new__(SpectralDecomposition)
+    object.__setattr__(dec, "eigenvalues", w)
+    object.__setattr__(dec, "eigenvectors", v)
+    return dec
+
+
+def _cut(radius, tol: Tolerances):
+    """``rank_tol`` times a spectral radius, or a bound on one: the toolkit's
+    one rank cut.  Eigenvalues within it count as zero, so verdicts do not
+    depend on the unit of measure."""
+    return tol.rank_tol * radius
 
 
 def _rank_cut(w: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(cut, rank, is_psd)`` of descending spectra along the last axis.
-
-    The cut is ``rank_tol`` times the spectral radius, max(lambda_0,
-    -lambda_last): the toolkit's one rank cut.  Eigenvalues within it count
-    as zero, so verdicts do not depend on the unit of measure.
+    """``(cut, rank, is_psd)`` of descending spectra along the last axis: the
+    :func:`_cut` of the spectral radius, max(lambda_0, -lambda_last), the
+    count of eigenvalues above it and whether none lies below -cut.
     """
-    cut = tol.rank_tol * np.maximum(w[..., 0], -w[..., -1])
+    cut = _cut(np.maximum(w[..., 0], -w[..., -1]), tol)
     rank = (w > cut[..., None]).sum(axis=-1)
     return cut, rank, w[..., -1] >= -cut
 
@@ -557,7 +591,7 @@ def _solid_tetrahedra(
 
     A row is certified when its factor exists and
     det P = (l00 l11 l22)^2 > 2 t ||P||_F^2, with t = rank_tol ||P||_F (the
-    :func:`_rank_cut` of ||P||_F): :func:`_flat_stack`'s bound
+    :func:`_cut` of ||P||_F): :func:`_flat_stack`'s bound
     |det P| <= cut ||P||_F^(k-2) at k = 4.  L L^T is then positive definite
     and each of its other two eigenvalues is at most ||P||_F, so its
     smallest exceeds det P / ||P||_F^2 > 2t.  Cholesky is backward stable
@@ -571,7 +605,7 @@ def _solid_tetrahedra(
     """
     p00, p01, p02, p11, p12, p22 = p
     norm = np.sqrt(p00 * p00 + p11 * p11 + p22 * p22 + 2.0 * (p01 * p01 + p02 * p02 + p12 * p12))
-    t = _rank_cut(norm[:, None], tol)[0]
+    t = _cut(norm, tol)
     # A pivot at or below zero turns into NaN or inf, which no later pivot
     # survives, so the comparison fails.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -637,8 +671,22 @@ def gram_from_realization(x: Realization) -> GramMatrix:
 
 
 def _pairwise_distances(x: np.ndarray) -> np.ndarray:
-    """Distances between the rows of x, computed in units of their extent
-    (the largest power of two not above the widest coordinate's spread).
+    """Distances between the rows of x, computed by :func:`_distances_in`
+    in units of their extent (the largest power of two not above the widest
+    coordinate's spread).  A distance too large for a float raises
+    FloatRangeError.
+    """
+    with np.errstate(over="ignore"):
+        extent = np.ptp(x, axis=0)
+    if np.isinf(extent).any():
+        # A coordinate difference leaves the float range, so its distance does.
+        raise FloatRangeError("distance", math.log10(np.ptp(0.5 * x, axis=0).max()) + math.log10(2.0))
+    return _distances_in(x, _unit(extent))
+
+
+def _distances_in(x: np.ndarray, unit: float) -> np.ndarray:
+    """Distances between the rows of x, their squares summed in units of the
+    power of two ``unit`` and scaled back by it.
 
     The squared differences are summed one coordinate column at a time into
     one n-by-n array: O(n^2 k) work and no n-by-n-by-k temporary.  Each
@@ -647,26 +695,24 @@ def _pairwise_distances(x: np.ndarray) -> np.ndarray:
     units lands below the normal range, where it keeps few bits or none, is
     measured again by ``np.hypot`` over its coordinate differences; on
     ordinary input only the diagonal's squares are that small.  A distance
-    too large for a float raises FloatRangeError.
+    too large for a float raises FloatRangeError.  In units of 1, for
+    coordinates whose spread is near 1 (such as those of classical MDS,
+    already in units), nothing is scaled back and no distance can overflow.
     """
-    with np.errstate(over="ignore"):
-        extent = np.ptp(x, axis=0)
-    if np.isinf(extent).any():
-        # A coordinate difference leaves the float range, so its distance does.
-        raise FloatRangeError("distance", math.log10(np.ptp(0.5 * x, axis=0).max()) + math.log10(2.0))
-    unit = _unit(extent)
     d2 = np.zeros((x.shape[0],) * 2)
     for col in x.T:
         d2 += np.square(np.subtract.outer(col, col) / unit)
-    top = math.sqrt(d2.max())
-    if math.isinf(top * unit):
-        raise FloatRangeError("distance", math.log10(top) + math.log10(unit))
     pairs = None
     if np.count_nonzero(d2 < _TINY) > x.shape[0]:
         i, j = np.nonzero(d2 < _TINY)
         far = (x[i] != x[j]).any(axis=1)
         pairs = i[far], j[far]
-    d = np.multiply(np.sqrt(d2, out=d2), unit, out=d2)
+    d = np.sqrt(d2, out=d2)
+    if unit != 1.0:
+        top = float(d.max())
+        if math.isinf(top * unit):
+            raise FloatRangeError("distance", math.log10(top) + math.log10(unit))
+        d *= unit
     if pairs is not None:
         d[pairs] = np.hypot.reduce(x[pairs[0]] - x[pairs[1]], axis=1)
     return d

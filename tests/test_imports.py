@@ -136,7 +136,7 @@ def top_level_users(name):
 def test_rank_tol_is_read_only_in_matrices():
     # The matrices docstring says every rank cut is taken there, by one
     # function; the flatness rule is one, so no other code reads the threshold.
-    assert top_level_users("rank_tol") == [("matrices.py", "Tolerances"), ("matrices.py", "_rank_cut")]
+    assert top_level_users("rank_tol") == [("matrices.py", "Tolerances"), ("matrices.py", "_cut")]
 
 
 def test_the_rank_cut_has_no_second_home():
@@ -150,12 +150,13 @@ def test_only_the_unit_reads_a_binary_exponent():
 
 def test_only_the_loss_check_reads_the_smallest_normal_float():
     # Read once, at import, by _in_units, the one loss check, and by
-    # _pairwise_distances, which finds the squares in units that lost bits.
+    # _distances_in, the distance kernel, which finds the squares in units
+    # that lost bits.
     assert top_level_users("tiny") == [("matrices.py", "<module>")]
     assert top_level_users("_TINY") == [
         ("matrices.py", "<module>"),
+        ("matrices.py", "_distances_in"),
         ("matrices.py", "_in_units"),
-        ("matrices.py", "_pairwise_distances"),
     ]
 
 

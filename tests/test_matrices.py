@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from distgeo.embedding import _max_relative_distance_error, classify_edm
@@ -219,11 +219,68 @@ class TestDistanceMatrixConstructor:
         assert d.view(np.int64).tolist() == raw.view(np.int64).tolist()
         assert not np.shares_memory(d, raw) and not d.flags.writeable
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.sampled_from(["nan", "inf", "-inf", "skew", "diagonal", "negative"]), min_size=2, max_size=3
+        ),
+    )
+    def test_planted_defects_raise_what_the_ordered_checks_raise(self, n, seed, defects):
+        # The constructor admits clean input by one cheap pass, which tests
+        # the invariants in another order; what it raises must still be the
+        # first failure of the documented order, naming the same offender.
+        rng = np.random.default_rng(seed)
+        arr = np.array(edm_from_realization(Realization(rng.standard_normal((n, 2)))).d)
+        for defect in defects:
+            i, j = (int(v) for v in rng.integers(0, n, 2))
+            if defect == "nan":
+                arr[i, j] = np.nan
+            elif defect == "inf":
+                arr[i, j] = arr[j, i] = np.inf
+            elif defect == "-inf":
+                arr[i, j] = -np.inf
+            elif defect == "skew":
+                arr[i, j] += rng.uniform(0.5, 2.0)
+            elif defect == "diagonal":
+                arr[i, i] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            else:
+                arr[i, j] = arr[j, i] = -rng.uniform(0.5, 2.0)
 
-def _in_units_by_loop(value, unit, power, quantity, residue=False):
+        def in_order(a):
+            # finite, symmetric, zero diagonal, nonnegative; each error
+            # names the worst offender, the skew measured on halves
+            if not np.isfinite(a).all():
+                raise ValueError("matrix contains non-finite entries")
+            if (a != a.T).any():
+                half = 0.5 * a
+                i, j = np.unravel_index(int(np.argmax(np.abs(half - half.T))), a.shape)
+                raise AsymmetricMatrixError((int(i), int(j)), abs(float(a[i, j]) - float(a[j, i])))
+            if (np.diag(a) != 0.0).any():
+                i = int(np.argmax(np.abs(np.diag(a))))
+                raise NonzeroDiagonalError(i, a[i, i])
+            if (a < 0.0).any():
+                i, j = np.unravel_index(int(np.argmin(a)), a.shape)
+                raise NegativeEntryError((int(i), int(j)), a[i, j])
+            return DistanceMatrix(a)
+
+        def outcome(make):
+            try:
+                make(arr.copy())
+            except ValueError as err:
+                return type(err), str(err), vars(err)
+            return "ok"
+
+        assert outcome(DistanceMatrix) == outcome(in_order)
+
+
+def _in_units_by_loop(value, unit, power, quantity, residue=False, offset=0):
     """The earlier ``_in_units``: one product (a quotient for a negative
-    power) by ``unit`` per power, kept as the reference for the shift."""
-    out = value
+    power) by ``unit`` per power, kept as the reference for the shift.  A
+    nonzero ``offset`` is a first product by 2**offset, exact while
+    ``value * 2**offset`` stays a normal float, which its callers keep."""
+    out = value * 2.0**offset
     with np.errstate(over="ignore"):
         for _ in range(abs(power)):
             out = out * unit if power > 0 else out / unit
@@ -233,8 +290,18 @@ def _in_units_by_loop(value, unit, power, quantity, residue=False):
         out, lost = np.where(zeroed, 0.0, out), lost ^ zeroed
     if np.any(lost):
         worst = float(np.abs(np.asarray(value)[lost]).max())
-        raise FloatRangeError(quantity, math.log10(worst) + power * math.log10(unit))
+        raise FloatRangeError(quantity, math.log10(worst) + offset * math.log10(2.0) + power * math.log10(unit))
     return out
+
+
+def scaled_outcome(scale, value, unit, power, residue, offset=0):
+    """What ``scale`` (``_in_units`` or its loop reference) gives: the result's
+    bits, or the FloatRangeError's text and magnitude."""
+    try:
+        out = scale(value, unit, power, "value", residue, offset=offset)
+    except FloatRangeError as err:
+        return (str(err), err.log10_magnitude)
+    return np.asarray(out, dtype=float).view(np.int64).tolist()
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308]
@@ -255,15 +322,66 @@ class TestInUnits:
         else:
             value = np.array(data.draw(st.lists(UNIT_VALUES, min_size=1, max_size=6), label="values"))
             residue = np.array(data.draw(st.lists(st.booleans(), min_size=value.size, max_size=value.size)))
+        assert scaled_outcome(_in_units, value, unit, power, residue) == scaled_outcome(
+            _in_units_by_loop, value, unit, power, residue
+        )
 
-        def outcome(scale):
-            try:
-                out = scale(value, unit, power, "value", residue)
-            except FloatRangeError as err:
-                return (str(err), err.log10_magnitude)
-            return np.asarray(out, dtype=float).view(np.int64).tolist()
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(
+        st.sampled_from([1024, -1022]),
+        st.integers(-3, 3),
+        st.sampled_from([-1, 2, 4]),
+        st.integers(-1074, 1023),
+        st.data(),
+    )
+    def test_near_the_range_ends_the_shift_matches_the_loop_bit_for_bit(self, end, delta, power, exponent, data):
+        # One value's shifted binary exponent lands within 3 of the overflow
+        # threshold 2**1024 or of the normal floor 2**-1022, where the early
+        # exit's two reductions must leave the decision to the full check.
+        edge = end + delta - power * exponent
+        assume(-1073 <= edge <= 1024)
+        unit = math.ldexp(1.0, exponent)
+        # Mantissas just below 1 land within one rounding of the end: 1 - 2**-53
+        # rounds up onto the normal floor, 1 - 2**-52 stays below it.
+        mantissas = st.one_of(st.sampled_from([0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-52]), st.floats(0.5, 1.0, exclude_max=True))
+        others = st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+            st.builds(math.ldexp, mantissas, st.integers(edge - 3, min(edge + 3, 1024))),
+            UNIT_VALUES,
+        )
+        values = [math.ldexp(data.draw(mantissas, label="mantissa"), edge)]
+        values += data.draw(st.lists(others, max_size=5), label="others")
+        value = np.where(np.arange(len(values)) % 2, -1.0, 1.0) * np.array(values)
+        residue = np.array(data.draw(st.lists(st.booleans(), min_size=value.size, max_size=value.size)))
+        if value.size == 1:
+            value, residue = float(value[0]), bool(residue[0])
+        assert scaled_outcome(_in_units, value, unit, power, residue) == scaled_outcome(
+            _in_units_by_loop, value, unit, power, residue
+        )
 
-        assert outcome(_in_units) == outcome(_in_units_by_loop)
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        st.sampled_from([1024, -1022]),
+        st.integers(-3, 3),
+        st.sampled_from([-1, 2, 4]),
+        st.integers(-1021, 1022),
+        st.data(),
+    )
+    def test_offset_near_the_range_ends_matches_the_loop_bit_for_bit(self, end, delta, power, offset, data):
+        # The _from_log path: a value near 1 carries its binary exponent in
+        # ``offset``, and the unit moves the result within 3 of a range end.
+        exponent = round((end + delta - offset) / power)
+        assume(-1074 <= exponent <= 1023)
+        unit = math.ldexp(1.0, exponent)
+        near_one = st.floats(0.5, 2.0, exclude_max=True)
+        values = data.draw(st.lists(st.one_of(near_one, st.just(0.0)), min_size=1, max_size=4), label="values")
+        value = np.where(np.arange(len(values)) % 2, -1.0, 1.0) * np.array(values)
+        residue = np.array(data.draw(st.lists(st.booleans(), min_size=value.size, max_size=value.size)))
+        if value.size == 1:
+            value, residue = float(value[0]), bool(residue[0])
+        assert scaled_outcome(_in_units, value, unit, power, residue, offset) == scaled_outcome(
+            _in_units_by_loop, value, unit, power, residue, offset
+        )
 
     @pytest.mark.parametrize("value", [3.0, np.float64(3.0), np.array(3.0)])
     def test_scalar_comes_back_as_a_python_float(self, value):
